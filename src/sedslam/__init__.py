@@ -26,7 +26,6 @@ from .geom import (
 )
 from .twoview import (
     AnchorMatchSet,
-    LmConfig,
     SedSolveReport,
     clamp_to_epipolar,
     decompose_essential,
@@ -39,7 +38,7 @@ from .twoview import (
     solve_two_view,
     weighted_eight_point,
 )
-from .ba import BaConfig, BaReport, Edge, FactorGraph, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
+from .ba import BaReport, Edge, FactorGraph, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
 from .sim3 import (
     JoinCandidate,
     Keyframe,

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, IndefiniteSystemError
-from .geom import Intrinsics, Se3Pose, backproject, project, skew, so3_exp
+from .errors import BehindCameraError
+from .geom import Intrinsics, Se3Pose, backproject, project, so3_exp
+from .lm import levenberg_marquardt
 
 
 @dataclass
@@ -37,8 +38,10 @@ class Edge:
         self.weights = np.array(self.weights, dtype=float).reshape(-1)
         if len(self.weights) != len(self.matches):
             raise ValueError("one weight per match required")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(self.matches)):
+            raise ValueError("matches must be finite")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
+            raise ValueError("weights must be finite and non-negative")
 
 
 @dataclass
@@ -64,8 +67,10 @@ class FactorGraph:
         for a, d in zip(self.anchors, self.depths):
             if len(a) != len(d):
                 raise ValueError("one depth per anchor required")
-            if np.any(d <= 0.0):
-                raise ValueError("depths must be strictly positive")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("anchors must be finite")
+            if not np.all(np.isfinite(d) & (d > 0.0)):
+                raise ValueError("depths must be finite and strictly positive")
         for e in self.edges:
             if not (0 <= e.i < n and 0 <= e.j < n):
                 raise ValueError(f"edge ({e.i}, {e.j}) references a missing frame")
@@ -79,16 +84,6 @@ class FactorGraph:
     @property
     def n_anchors(self) -> int:
         return int(sum(len(a) for a in self.anchors))
-
-
-@dataclass
-class BaConfig:
-    max_iters: int = 50
-    lambda_init: float = 1e-4
-    lambda_min: float = 1e-10
-    lambda_max: float = 1e6
-    step_tol: float = 1e-10
-    cost_tol: float = 1e-12
 
 
 @dataclass
@@ -111,56 +106,55 @@ def reprojection_residual(graph: FactorGraph, edge_index: int, k: int) -> np.nda
     return project(q, graph.intrinsics[edge.j]) - edge.matches[k]
 
 
-def _edge_points(graph, edge):
-    """Camera-j coordinates of edge i's anchors plus intermediate terms."""
-    ki = graph.intrinsics[edge.i]
+def _project_edge(graph, edge, poses, depths):
+    """Pinhole projection of edge i's anchors into camera j.
+
+    Returns (rays, y, q, z, ok, pixels): calibrated anchor rays, world and
+    camera-j points, the divisor depth (1 behind the camera), the in-front
+    mask and the pixels.
+    """
+    ki, kj = graph.intrinsics[edge.i], graph.intrinsics[edge.j]
     a = graph.anchors[edge.i]
     rays = np.concatenate([a, np.ones((len(a), 1))], axis=1) @ ki.inv_matrix().T
-    p = rays * graph.depths[edge.i][:, None]
-    gi, gj = graph.poses[edge.i], graph.poses[edge.j]
+    p = rays * depths[edge.i][:, None]
+    gi, gj = poses[edge.i], poses[edge.j]
     y = p @ gi.rotation.T + gi.translation            # world points
     q = (y - gj.translation) @ gj.rotation            # camera-j points
-    return rays, y, q
+    ok = q[:, 2] > 0.0
+    z = np.where(ok, q[:, 2], 1.0)
+    pixels = np.stack([kj.fx * q[:, 0] / z + kj.cx, kj.fy * q[:, 1] / z + kj.cy], axis=1)
+    return rays, y, q, z, ok, pixels
 
 
-def _residual_pass(graph):
-    """Stacked weighted residuals; behind-camera terms get weight zero."""
+def _evaluate(graph, poses, depths):
+    """Cost plus (rmse, behind-camera count); behind-camera terms get weight zero."""
     res, wts, behind = [], [], 0
     for edge in graph.edges:
-        _, _, q = _edge_points(graph, edge)
-        kj = graph.intrinsics[edge.j]
-        ok = q[:, 2] > 0.0
+        *_, ok, pixels = _project_edge(graph, edge, poses, depths)
         behind += int(np.sum(~ok))
-        z = np.where(ok, q[:, 2], 1.0)
-        proj = np.stack([kj.fx * q[:, 0] / z + kj.cx, kj.fy * q[:, 1] / z + kj.cy], axis=1)
-        r = proj - edge.matches
         w = edge.weights * ok
-        res.append(np.sqrt(w)[:, None] * r)
+        res.append(np.sqrt(w)[:, None] * (pixels - edge.matches))
         wts.append(w)
-    return np.concatenate(res), np.concatenate(wts), behind
-
-
-def _cost_and_rmse(graph):
-    res, wts, behind = _residual_pass(graph)
+    res = np.concatenate(res)
     cost = float(np.sum(res * res))
-    wsum = float(np.sum(wts))
+    wsum = float(np.sum(np.concatenate(wts)))
     rmse = float(np.sqrt(cost / (2.0 * wsum))) if wsum > 0.0 else 0.0
-    return cost, rmse, behind
+    return cost, (rmse, behind)
 
 
 def ba_cost(graph: FactorGraph) -> float:
     """Total weighted squared reprojection error of the graph."""
-    return _cost_and_rmse(graph)[0]
+    return _evaluate(graph, graph.poses, graph.depths)[0]
 
 
-def _solve_step(graph, lam, anchor_offsets):
-    """One damped normal-equations solve with the depths Schur-eliminated.
+def _assemble(graph, poses, depths, anchor_offsets):
+    """Undamped normal equations (h_pp, h_pd, h_dd, g_p, g_d).
 
-    Returns (pose_steps (F-1, 6), depth_steps (n_d,)); pose parameters are
-    (omega, v) of a left-multiplied update, frame 0 is frozen.
+    Pose parameters are (omega, v) of a left-multiplied update with frame 0
+    frozen; depth parameters are inverse depths, whose block h_dd is
+    diagonal.
     """
-    n_frames = graph.n_frames
-    n_pose = 6 * (n_frames - 1)
+    n_pose = 6 * (graph.n_frames - 1)
     n_depth = graph.n_anchors
     h_pp = np.zeros((n_pose, n_pose))
     h_pd = np.zeros((n_pose, n_depth))
@@ -169,16 +163,11 @@ def _solve_step(graph, lam, anchor_offsets):
     g_d = np.zeros(n_depth)
 
     for edge in graph.edges:
-        rays, y, q = _edge_points(graph, edge)
+        rays, y, q, z, ok, pixels = _project_edge(graph, edge, poses, depths)
         kj = graph.intrinsics[edge.j]
-        gi, gj = graph.poses[edge.i], graph.poses[edge.j]
-        ok = q[:, 2] > 0.0
-        z = np.where(ok, q[:, 2], 1.0)
-        proj = np.stack([kj.fx * q[:, 0] / z + kj.cx, kj.fy * q[:, 1] / z + kj.cy], axis=1)
-        r = proj - edge.matches
-        w = edge.weights * ok
-        sw = np.sqrt(w)
-
+        gi, gj = poses[edge.i], poses[edge.j]
+        r = pixels - edge.matches
+        sw = np.sqrt(edge.weights * ok)
         n = len(rays)
         inv_z = 1.0 / z
         dpi = np.zeros((n, 2, 3))
@@ -201,7 +190,7 @@ def _solve_step(graph, lam, anchor_offsets):
         dq_xi[:, :, 3:] = np.broadcast_to(rjt, (n, 3, 3))
 
         # d q / d rho for inverse depth rho = 1/d: -Rjᵀ Ri u d^2.
-        d2 = graph.depths[edge.i] ** 2
+        d2 = depths[edge.i] ** 2
         dq_rho = -(rays @ (rjt @ gi.rotation).T) * d2[:, None]
 
         j_i = np.einsum("nij,njp->nip", dpi, dq_xi) * sw[:, None, None]
@@ -227,106 +216,80 @@ def _solve_step(graph, lam, anchor_offsets):
         h_dd[d_idx] += np.sum(j_d * j_d, axis=1)
         g_d[d_idx] += np.sum(j_d * rw, axis=1)
 
-    h_dd = h_dd + lam
+    return h_pp, h_pd, h_dd, g_p, g_d
+
+
+def _damped_schur_solve(system, lam):
+    """Damped step (pose steps, then inverse-depth steps) with the diagonal
+    depth block eliminated through its Schur complement; None when the
+    reduced camera system fails to factor."""
+    h_pp, h_pd, h_dd, g_p, g_d = system
     b_p = -g_p
     b_d = -g_d
-    inv_dd = 1.0 / h_dd
-    schur = h_pp + lam * np.eye(n_pose) - (h_pd * inv_dd) @ h_pd.T
+    inv_dd = 1.0 / (h_dd + lam)
+    schur = h_pp + lam * np.eye(len(g_p)) - (h_pd * inv_dd) @ h_pd.T
     rhs = b_p - h_pd @ (inv_dd * b_d)
     try:
         pose_step = np.linalg.solve(schur, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteSystemError("damped normal equations failed to factor") from exc
+    except np.linalg.LinAlgError:
+        return None
     depth_step = inv_dd * (b_d - h_pd.T @ pose_step)
-    return pose_step.reshape(-1, 6), depth_step
+    return np.concatenate([pose_step, depth_step])
 
 
-def _apply_step(graph, pose_step, depth_step, anchor_offsets):
-    new_poses = [graph.poses[0]]
-    for f in range(1, graph.n_frames):
-        omega, v = pose_step[f - 1, :3], pose_step[f - 1, 3:]
-        rot = so3_exp(omega)
-        old = graph.poses[f]
-        new_poses.append(Se3Pose(rot @ old.rotation, rot @ old.translation + v))
+def _retract(x, step, anchor_offsets, target_mean_log_depth):
+    """Apply a damped step to (poses, depths), then restore the gauge.
+
+    Returns None when an inverse depth turns non-positive. The gauge
+    transform rescales all depths by c and moves every translation to
+    c*t + (1-c)*t_0, which restores the mean log-depth, leaves the
+    reprojection cost unchanged and keeps the first (frozen) pose fixed.
+    """
+    poses, depths = x
+    n_pose = 6 * (len(poses) - 1)
+    pose_step = step[:n_pose].reshape(-1, 6)
+    depth_step = step[n_pose:]
+    new_poses = [poses[0]]
+    for old, xi in zip(poses[1:], pose_step):
+        rot = so3_exp(xi[:3])
+        new_poses.append(Se3Pose(rot @ old.rotation, rot @ old.translation + xi[3:]))
     new_depths = []
-    for f in range(graph.n_frames):
-        rho = 1.0 / graph.depths[f]
-        rho_new = rho + depth_step[anchor_offsets[f]:anchor_offsets[f] + len(rho)]
+    for d, offset in zip(depths, anchor_offsets):
+        rho_new = 1.0 / d + depth_step[offset:offset + len(d)]
         if np.any(rho_new <= 0.0):
             return None
         new_depths.append(1.0 / rho_new)
-    return new_poses, new_depths
 
-
-def _renormalize_gauge(poses, depths, target_mean_log_depth):
-    """Exact scale-gauge transform restoring the mean log-depth.
-
-    Rescales all depths by c and moves every translation to
-    c*t + (1-c)*t_0, which leaves the reprojection cost unchanged and the
-    first (frozen) pose fixed.
-    """
-    all_d = np.concatenate(depths)
-    c = float(np.exp(target_mean_log_depth - np.mean(np.log(all_d))))
+    c = float(np.exp(target_mean_log_depth - np.mean(np.log(np.concatenate(new_depths)))))
     if abs(c - 1.0) < 1e-15:
-        return poses, depths
-    t0 = poses[0].translation
-    new_poses = [poses[0]] + [
-        Se3Pose(p.rotation, c * p.translation + (1.0 - c) * t0) for p in poses[1:]
-    ]
-    new_depths = [c * d for d in depths]
-    return new_poses, new_depths
+        return new_poses, new_depths
+    t0 = new_poses[0].translation
+    return ([new_poses[0]] + [Se3Pose(p.rotation, c * p.translation + (1.0 - c) * t0)
+                              for p in new_poses[1:]],
+            [c * d for d in new_depths])
 
 
-def ba_solve(graph: FactorGraph, config: BaConfig | None = None) -> BaReport:
+def ba_solve(graph: FactorGraph) -> BaReport:
     """Bundle adjustment; mutates the graph's poses and depths in place."""
     if graph.n_frames < 2:
         raise ValueError("bundle adjustment needs at least 2 frames")
     if graph.n_anchors < 6:
         raise ValueError("bundle adjustment needs at least 6 anchors")
-    cfg = config or BaConfig()
     anchor_offsets = np.concatenate([[0], np.cumsum([len(a) for a in graph.anchors])])[:-1]
     target_mld = float(np.mean(np.log(np.concatenate(graph.depths))))
 
-    cost, rmse, behind = _cost_and_rmse(graph)
-    initial_rmse = rmse
-    trace = [cost]
-    lam = cfg.lambda_init
-    converged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        pose_step, depth_step = _solve_step(graph, lam, anchor_offsets)
-        step_norm = float(np.sqrt(np.sum(pose_step ** 2) + np.sum(depth_step ** 2)))
-        if step_norm < cfg.step_tol:
-            converged = True
-            break
-        updated = _apply_step(graph, pose_step, depth_step, anchor_offsets)
-        if updated is None:
-            new_cost, new_rmse, new_behind = np.inf, rmse, behind
-            new_poses, new_depths = graph.poses, graph.depths
-        else:
-            new_poses, new_depths = _renormalize_gauge(*updated, target_mld)
-            probe = FactorGraph(new_poses, graph.intrinsics, graph.anchors,
-                                new_depths, graph.edges)
-            new_cost, new_rmse, new_behind = _cost_and_rmse(probe)
-        if new_cost < cost:
-            decrease = cost - new_cost
-            graph.poses = new_poses
-            graph.depths = new_depths
-            cost, rmse, behind = new_cost, new_rmse, new_behind
-            trace.append(cost)
-            lam = max(lam * 0.5, cfg.lambda_min)
-            if decrease < cfg.cost_tol:
-                converged = True
-                break
-        else:
-            lam = lam * 4.0
-            if lam > cfg.lambda_max:
-                break
-
-    return BaReport(iterations=iterations, initial_rmse=initial_rmse, final_rmse=rmse,
-                    converged=converged, cost_trace=tuple(trace), n_behind=behind)
+    result = levenberg_marquardt(
+        (graph.poses, graph.depths),
+        lambda x: _evaluate(graph, *x),
+        lambda x: _assemble(graph, *x, anchor_offsets),
+        _damped_schur_solve,
+        lambda x, step: _retract(x, step, anchor_offsets, target_mld))
+    graph.poses, graph.depths = result.x
+    initial_rmse, _ = result.initial_info
+    final_rmse, behind = result.info
+    return BaReport(iterations=result.iterations, initial_rmse=initial_rmse,
+                    final_rmse=final_rmse, converged=result.converged,
+                    cost_trace=result.cost_trace, n_behind=behind)
 
 
 def extrapolate_pose(history) -> Se3Pose:
@@ -346,11 +309,7 @@ def reproject_matches(graph: FactorGraph) -> int:
     """
     flagged = 0
     for edge in graph.edges:
-        _, _, q = _edge_points(graph, edge)
-        kj = graph.intrinsics[edge.j]
-        ok = q[:, 2] > 0.0
+        *_, ok, pixels = _project_edge(graph, edge, graph.poses, graph.depths)
         flagged += int(np.sum(~ok))
-        z = np.where(ok, q[:, 2], 1.0)
-        proj = np.stack([kj.fx * q[:, 0] / z + kj.cx, kj.fy * q[:, 1] / z + kj.cy], axis=1)
-        edge.matches = np.where(ok[:, None], proj, edge.matches)
+        edge.matches = np.where(ok[:, None], pixels, edge.matches)
     return flagged

@@ -24,16 +24,12 @@ from .errors import (
 from .geom import Sim3Transform, quat_from_rotation, so3_exp
 from .metrics import ate_rmse
 from .sim3 import JoinCandidate, estimate_join, merge_trajectories
-from .twoview import LmConfig, solve_two_view
-
-
-def _lm_config(args) -> LmConfig:
-    return LmConfig(max_iters=args.max_iters)
+from .twoview import solve_two_view
 
 
 def cmd_two_view(args) -> int:
     mset = files.read_match_file(args.matches)
-    report = solve_two_view(mset, _lm_config(args))
+    report = solve_two_view(mset, args.max_iters)
     q = quat_from_rotation(report.pose.rotation)
     t = report.pose.translation_dir
     print(f"rotation_quat_xyzw: {q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}")
@@ -70,7 +66,7 @@ def _parse_grid(text: str):
 def cmd_basin(args) -> int:
     grid = _parse_grid(args.grid)
     rows = synth.basin_experiment(args.seeds, grid, args.mode, base_seed=args.seed,
-                                  config=LmConfig(max_iters=args.max_iters))
+                                  max_iters=args.max_iters)
     synth.write_basin_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -94,7 +90,7 @@ def cmd_join(args) -> int:
     candidate = JoinCandidate(args.frame_a, args.frame_b, mset,
                               np.arange(n0), np.arange(n1))
     est = estimate_join(traj_a, traj_b, candidate, ratio_bound=args.ratio_bound,
-                        inlier_threshold=args.inlier_thresh, config=_lm_config(args))
+                        inlier_threshold=args.inlier_thresh, max_iters=args.max_iters)
     merged = merge_trajectories(traj_a, traj_b, est.world_sim3)
     files.write_trajectory(args.out, merged)
     payload = files.sim3_to_dict(est.world_sim3)

@@ -49,10 +49,6 @@ class InsufficientInliersError(SedSlamError):
     """Scale voting found too few inliers; retry with another candidate pair."""
 
 
-class IndefiniteSystemError(SedSlamError):
-    """Damped normal equations failed to factorize."""
-
-
 class TimestampCollisionError(SedSlamError):
     """Identical timestamps appear in both trajectories being merged."""
 

@@ -193,12 +193,6 @@ class Se3Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass(frozen=True, eq=False)
 class Sim3Transform:

@@ -1,0 +1,94 @@
+"""Levenberg-Marquardt driver shared by the two-view and bundle-adjustment solvers.
+
+The damping schedule follows Madsen, Nielsen & Tingleff, "Methods for
+Non-Linear Least Squares Problems" (2004): a step is accepted only when it
+lowers the cost, which halves the damping λ; any other outcome only
+multiplies λ by four. The normal equations therefore depend on the point
+alone: they are built at the start point and after each accepted step, and
+a rejected step re-solves the same system with the new damping.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
+
+LAMBDA_INIT = 1e-4
+LAMBDA_MIN = 1e-10
+# The solve stops, unconverged, once the damping exceeds this.
+LAMBDA_MAX = 1e6
+# Converged: a step shorter than STEP_TOL, or an accepted step that lowers
+# the cost by less than COST_TOL.
+STEP_TOL = 1e-10
+COST_TOL = 1e-12
+
+
+@dataclass
+class LmResult:
+    """Final point and cost, the ``evaluate`` extras at the start and final
+    points, the accepted costs (initial cost first), iterations run and
+    whether a convergence test fired."""
+
+    x: Any
+    cost: float
+    info: Any
+    initial_info: Any
+    cost_trace: tuple[float, ...]
+    iterations: int
+    converged: bool
+
+
+def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int = 50) -> LmResult:
+    """Minimize a least-squares cost from ``x0``.
+
+    * ``evaluate(x) -> (cost, info)``: the cost at ``x`` plus whatever the
+      caller needs at that point.
+    * ``linearize(x) -> system``: the undamped normal equations at ``x``.
+    * ``solve(system, lam) -> step``: the damped step as a flat array, or
+      None when the damped system fails to factor.
+    * ``retract(x, step) -> x``: the updated point, or None when the step
+      leaves the domain.
+
+    A failed factorization and a step out of the domain count as rejected
+    steps. Every iteration, including a rejected one, counts toward
+    ``max_iters``.
+    """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+    x = x0
+    cost, info = evaluate(x)
+    initial_info = info
+    trace = [cost]
+    lam = LAMBDA_INIT
+    system = None
+    converged = False
+    iterations = 0
+
+    while iterations < max_iters:
+        iterations += 1
+        if system is None:
+            system = linearize(x)
+        step = solve(system, lam)
+        if step is not None and np.linalg.norm(step) < STEP_TOL:
+            converged = True
+            break
+        candidate = None if step is None else retract(x, step)
+        new_cost, new_info = (np.inf, None) if candidate is None else evaluate(candidate)
+        if new_cost < cost:
+            decrease = cost - new_cost
+            x, cost, info = candidate, new_cost, new_info
+            trace.append(cost)
+            system = None
+            lam = max(lam * 0.5, LAMBDA_MIN)
+            if decrease < COST_TOL:
+                converged = True
+                break
+        else:
+            lam *= 4.0
+            if lam > LAMBDA_MAX:
+                break
+
+    return LmResult(x=x, cost=cost, info=info, initial_info=initial_info,
+                    cost_trace=tuple(trace), iterations=iterations, converged=converged)

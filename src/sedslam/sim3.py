@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError
 from .geom import Intrinsics, RelativePose, Se3Pose, Sim3Transform, triangulate_batch
-from .twoview import AnchorMatchSet, LmConfig, SedSolveReport, solve_two_view
+from .twoview import AnchorMatchSet, SedSolveReport, solve_two_view
 
 # Default inlier band of the depth-ratio vote.
 RATIO_BOUND = 1.05
@@ -185,7 +185,7 @@ class JoinEstimate:
 def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandidate,
                   ratio_bound: float = RATIO_BOUND,
                   inlier_threshold: float = INLIER_THRESHOLD,
-                  config: LmConfig | None = None) -> JoinEstimate:
+                  max_iters: int = 50) -> JoinEstimate:
     """Solve a candidate pair and lift the result to a world-level Sim(3).
 
     Runs the two-view solver, triangulates, votes the two scales, builds the
@@ -193,7 +193,7 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     ``S_world = G_a . S_cam . G_b^-1`` maps trajectory b's world frame into
     trajectory a's.
     """
-    report = solve_two_view(candidate.matches, config)
+    report = solve_two_view(candidate.matches, max_iters)
     candidate.pose = report.pose
     tri = triangulated_depths(candidate)
 

@@ -18,7 +18,7 @@ from .ba import Edge, FactorGraph
 from .geom import Intrinsics, RelativePose, Se3Pose, Sim3Transform, project, so3_exp
 from .metrics import pose_error
 from .sim3 import JoinCandidate, Keyframe, Trajectory
-from .twoview import AnchorMatchSet, LmConfig, lm_refine_sed, solve_two_view
+from .twoview import AnchorMatchSet, lm_refine_sed, solve_two_view
 
 IMAGE_SIZE = 512.0
 FOCAL = IMAGE_SIZE / 2.0  # 90 degree field of view
@@ -428,7 +428,7 @@ class BasinRow:
 
 def basin_experiment(n_seeds: int, init_error_grid, mode: str,
                      base_seed: int = 0, n_points: int = 96,
-                     config: LmConfig | None = None) -> list[BasinRow]:
+                     max_iters: int = 50) -> list[BasinRow]:
     """Convergence-basin sweep on noise-free matches.
 
     For every grid angle and seed, the ground-truth pose is perturbed by the
@@ -446,9 +446,9 @@ def basin_experiment(n_seeds: int, init_error_grid, mode: str,
             if mode == "sed_only":
                 rng = np.random.default_rng((seed, int(round(init_deg * 1000.0)), 17))
                 init = perturb_pose(gt, float(init_deg), rng)
-                report = lm_refine_sed(init, mset, config)
+                report = lm_refine_sed(init, mset, max_iters)
             else:
-                report = solve_two_view(mset, config)
+                report = solve_two_view(mset, max_iters)
             err = pose_error(report.pose, gt)
             rows.append(BasinRow(float(init_deg), seed, mode,
                                  err.rot_deg, err.trans_deg, report.converged))

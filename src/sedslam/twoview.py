@@ -34,7 +34,9 @@ from .geom import (
     skew,
     so3_exp,
     triangulate_batch,
+    vee,
 )
+from .lm import levenberg_marquardt
 
 # Numerical-rank cutoff (relative to the largest singular value) below which
 # the 8-point design matrix is declared degenerate.
@@ -96,18 +98,6 @@ class AnchorMatchSet:
 
     def with_matches(self, matches0, matches1) -> "AnchorMatchSet":
         return replace(self, matches0=matches0, matches1=matches1)
-
-
-@dataclass
-class LmConfig:
-    """Levenberg-Marquardt schedule for the SED refinement."""
-
-    max_iters: int = 50
-    lambda_init: float = 1e-4
-    lambda_min: float = 1e-10
-    lambda_max: float = 1e6
-    step_tol: float = 1e-10
-    cost_tol: float = 1e-12
 
 
 @dataclass
@@ -204,11 +194,18 @@ def decompose_essential(e) -> list[RelativePose]:
     r2 = u @ _W.T @ vt
     if np.linalg.det(r2) < 0.0:
         r2 = -r2
-    tx = u @ _Z @ u.T
-    t = 0.5 * np.array([tx[2, 1] - tx[1, 2], tx[0, 2] - tx[2, 0], tx[1, 0] - tx[0, 1]])
+    t = vee(u @ _Z @ u.T)
     t = t / np.linalg.norm(t)
     return [RelativePose(r1, t), RelativePose(r2, t),
             RelativePose(r1, -t), RelativePose(r2, -t)]
+
+
+def _direction(mset: AnchorMatchSet, forward: bool):
+    """(anchors, matches, weights, anchor-frame K, match-frame K) of one
+    direction: frame-0 anchors matched in frame 1, or the reverse."""
+    if forward:
+        return mset.anchors0, mset.matches0, mset.weights0, mset.intrinsics0, mset.intrinsics1
+    return mset.anchors1, mset.matches1, mset.weights1, mset.intrinsics1, mset.intrinsics0
 
 
 def chirality_scores(candidates, mset: AnchorMatchSet) -> np.ndarray:
@@ -216,12 +213,8 @@ def chirality_scores(candidates, mset: AnchorMatchSet) -> np.ndarray:
     scores = np.zeros(len(candidates))
     for idx, cand in enumerate(candidates):
         total = 0.0
-        for pose, anchors, matches, w, ka, kb in (
-            (cand, mset.anchors0, mset.matches0, mset.weights0,
-             mset.intrinsics0, mset.intrinsics1),
-            (cand.inverse(), mset.anchors1, mset.matches1, mset.weights1,
-             mset.intrinsics1, mset.intrinsics0),
-        ):
+        for pose, forward in ((cand, True), (cand.inverse(), False)):
+            anchors, matches, w, ka, kb = _direction(mset, forward)
             if len(anchors) == 0:
                 continue
             d1, d2, valid = triangulate_batch(pose, anchors, matches, ka, kb)
@@ -259,50 +252,50 @@ def select_by_ground_truth(candidates, gt: RelativePose) -> RelativePose:
 _GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
 
 
-def _direction_terms(rot, t, mset: AnchorMatchSet, forward: bool, with_jacobian: bool):
-    """Residuals (and Jacobians) of one SED direction.
+def _epipolar(rot, t, mset: AnchorMatchSet, forward: bool):
+    """Epipolar lines of one direction's anchors and the errors of its matches.
 
     The forward direction scores frame-0 anchors against their frame-1
     matches with E = [t]x R; the reverse direction uses E = Rᵀ [t]x, which
     generates the same lines as the inverse pose up to an overall sign the
-    error function is invariant to. Jacobians are taken w.r.t. the forward
-    update (xi_R, xi_t) at identity in both cases.
+    error function is invariant to. Returns (rays, kb_invt, weights, lines,
+    d, zeta, matches, good, err): calibrated anchor rays, the match frame's
+    K^-T, the weights, the lines, l_x^2 + l_y^2 (1 on degenerate lines),
+    l . [m; 1], the matches, the non-degenerate mask and the error vectors.
     """
-    if forward:
-        anchors, matches, w = mset.anchors0, mset.matches0, mset.weights0
-        ka, kb = mset.intrinsics0, mset.intrinsics1
-        e = skew(t) @ rot
-    else:
-        anchors, matches, w = mset.anchors1, mset.matches1, mset.weights1
-        ka, kb = mset.intrinsics1, mset.intrinsics0
-        e = rot.T @ skew(t)
-    n = len(anchors)
-    if n == 0:
-        empty = np.zeros((0, 2))
-        return empty, (np.zeros((0, 2, 6)) if with_jacobian else None), 0
-
+    anchors, matches, w, ka, kb = _direction(mset, forward)
+    e = skew(t) @ rot if forward else rot.T @ skew(t)
     kb_invt = kb.inv_matrix().T
-    x = np.concatenate([anchors, np.ones((n, 1))], axis=1) @ ka.inv_matrix().T
-    lines = x @ (kb_invt @ e).T
-
+    rays = np.concatenate([anchors, np.ones((len(anchors), 1))], axis=1) @ ka.inv_matrix().T
+    lines = rays @ (kb_invt @ e).T
     lx, ly, lz = lines[:, 0], lines[:, 1], lines[:, 2]
     d = lx * lx + ly * ly
     good = d > LINE_EPS
-    n_skipped = int(np.sum(~good))
     d = np.where(good, d, 1.0)
-    mx, my = matches[:, 0], matches[:, 1]
-    zeta = lx * mx + ly * my + lz
+    zeta = lx * matches[:, 0] + ly * matches[:, 1] + lz
     err = (zeta / d)[:, None] * lines[:, :2]
+    return rays, kb_invt, w, lines, d, zeta, matches, good, err
 
+
+def _direction_terms(rot, t, mset: AnchorMatchSet, forward: bool, with_jacobian: bool):
+    """Residuals (and Jacobians) of one SED direction.
+
+    Jacobians are taken w.r.t. the forward update (xi_R, xi_t) at identity
+    in both directions.
+    """
+    x, kb_invt, w, lines, d, zeta, matches, good, err = _epipolar(rot, t, mset, forward)
+    n_skipped = int(np.sum(~good))
     sw = np.sqrt(w)
     res = (sw[:, None] * err)[good]
     if not with_jacobian:
         return res, None, n_skipped
 
     # d err / d l, rows of shape (2, 3).
+    lx, ly = lines[:, 0], lines[:, 1]
+    mx, my = matches[:, 0], matches[:, 1]
     inv_d = 1.0 / d
     inv_d2 = inv_d * inv_d
-    j_l = np.empty((n, 2, 3))
+    j_l = np.empty((len(x), 2, 3))
     j_l[:, 0, 0] = -2.0 * lx * lx * zeta * inv_d2 + lx * mx * inv_d + zeta * inv_d
     j_l[:, 0, 1] = -2.0 * lx * ly * zeta * inv_d2 + lx * my * inv_d
     j_l[:, 0, 2] = lx * inv_d
@@ -338,11 +331,15 @@ def _sed_terms(pose: RelativePose, mset: AnchorMatchSet, with_jacobian: bool = F
     return res, jac, s0 + s1
 
 
+def _evaluate(pose: RelativePose, mset: AnchorMatchSet):
+    res, _, n_degenerate = _sed_terms(pose, mset)
+    return float(np.sum(res * res)), n_degenerate
+
+
 def sed_cost(pose: RelativePose, mset: AnchorMatchSet) -> float:
     """Symmetric epipolar distance: weighted squared point-to-line errors
     over both directions; degenerate-line terms are skipped."""
-    res, _, _ = _sed_terms(pose, mset)
-    return float(np.sum(res * res))
+    return _evaluate(pose, mset)[0]
 
 
 def sed_jacobian(pose: RelativePose, mset: AnchorMatchSet):
@@ -355,6 +352,20 @@ def sed_jacobian(pose: RelativePose, mset: AnchorMatchSet):
     return res, jac
 
 
+def _normal_equations(pose: RelativePose, mset: AnchorMatchSet):
+    res, jac = sed_jacobian(pose, mset)
+    j = jac.reshape(-1, 6)
+    return j.T @ j, j.T @ res.reshape(-1)
+
+
+def _damped_solve(system, lam):
+    h, g = system
+    try:
+        return np.linalg.solve(h + lam * np.eye(6), -g)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _retract(pose: RelativePose, xi) -> RelativePose:
     rot = so3_exp(xi[:3]) @ pose.rotation
     t = so3_exp(xi[3:]) @ pose.translation_dir
@@ -362,55 +373,19 @@ def _retract(pose: RelativePose, xi) -> RelativePose:
 
 
 def lm_refine_sed(init: RelativePose, mset: AnchorMatchSet,
-                  config: LmConfig | None = None) -> SedSolveReport:
+                  max_iters: int = 50) -> SedSolveReport:
     """Levenberg-Marquardt refinement of the SED objective.
 
-    Updates are applied as ``(exp(xi_R) R, exp(xi_t) t)``; steps are accepted
-    only when they reduce the cost, with damping halved on accept and
-    quadrupled on reject. The rotation-about-t gauge direction of ``xi_t``
-    is absorbed by the additive damping.
+    Updates are applied as ``(exp(xi_R) R, exp(xi_t) t)``. The
+    rotation-about-t gauge direction of ``xi_t`` is absorbed by the additive
+    damping. ``n_degenerate`` counts the terms skipped at the final pose.
     """
-    cfg = config or LmConfig()
-    pose = init
-    res, _, n_deg = _sed_terms(pose, mset)
-    cost = float(np.sum(res * res))
-    initial_cost = cost
-    lam = cfg.lambda_init
-    converged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        res, jac, n_deg = _sed_terms(pose, mset, with_jacobian=True)
-        j = jac.reshape(-1, 6)
-        r = res.reshape(-1)
-        h = j.T @ j
-        g = j.T @ r
-        try:
-            step = np.linalg.solve(h + lam * np.eye(6), -g)
-        except np.linalg.LinAlgError:
-            lam = min(lam * 4.0, cfg.lambda_max)
-            continue
-        if np.linalg.norm(step) < cfg.step_tol:
-            converged = True
-            break
-        candidate = _retract(pose, step)
-        new_res, _, _ = _sed_terms(candidate, mset)
-        new_cost = float(np.sum(new_res * new_res))
-        if new_cost < cost:
-            decrease = cost - new_cost
-            pose, cost = candidate, new_cost
-            lam = max(lam * 0.5, cfg.lambda_min)
-            if decrease < cfg.cost_tol:
-                converged = True
-                break
-        else:
-            lam = lam * 4.0
-            if lam > cfg.lambda_max:
-                break
-
-    return SedSolveReport(pose=pose, iterations=iterations, initial_cost=initial_cost,
-                          final_cost=cost, converged=converged, n_degenerate=n_deg)
+    result = levenberg_marquardt(init, lambda pose: _evaluate(pose, mset),
+                                 lambda pose: _normal_equations(pose, mset),
+                                 _damped_solve, _retract, max_iters)
+    return SedSolveReport(pose=result.x, iterations=result.iterations,
+                          initial_cost=result.cost_trace[0], final_cost=result.cost,
+                          converged=result.converged, n_degenerate=result.info)
 
 
 def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSet:
@@ -419,28 +394,11 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
     Matches on degenerate lines are left unchanged. Clamping is a projection
     and therefore idempotent.
     """
-    rot, t = pose.rotation, pose.translation_dir
     new_matches = []
-    for forward, anchors, matches in ((True, mset.anchors0, mset.matches0),
-                                      (False, mset.anchors1, mset.matches1)):
-        if len(anchors) == 0:
-            new_matches.append(matches)
-            continue
-        if forward:
-            e = skew(t) @ rot
-            ka, kb = mset.intrinsics0, mset.intrinsics1
-        else:
-            e = rot.T @ skew(t)
-            ka, kb = mset.intrinsics1, mset.intrinsics0
-        x = np.concatenate([anchors, np.ones((len(anchors), 1))], axis=1) @ ka.inv_matrix().T
-        lines = x @ (kb.inv_matrix().T @ e).T
-        d = lines[:, 0] ** 2 + lines[:, 1] ** 2
-        good = d > LINE_EPS
-        d = np.where(good, d, 1.0)
-        zeta = lines[:, 0] * matches[:, 0] + lines[:, 1] * matches[:, 1] + lines[:, 2]
-        err = (zeta / d)[:, None] * lines[:, :2]
+    for forward in (True, False):
+        *_, matches, good, err = _epipolar(pose.rotation, pose.translation_dir, mset, forward)
         new_matches.append(np.where(good[:, None], matches - err, matches))
-    return mset.with_matches(new_matches[0], new_matches[1])
+    return mset.with_matches(*new_matches)
 
 
 def _staged(stage):
@@ -456,7 +414,7 @@ def _staged(stage):
     return _Ctx()
 
 
-def solve_two_view(mset: AnchorMatchSet, config: LmConfig | None = None) -> SedSolveReport:
+def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:
     """Full two-view pipeline.
 
     normalize -> weighted 8-point -> uncalibrate to E -> decompose ->
@@ -478,7 +436,7 @@ def solve_two_view(mset: AnchorMatchSet, config: LmConfig | None = None) -> SedS
     with _staged("chirality"):
         pose0, cand_idx = select_by_chirality(candidates, mset)
     with _staged("refine"):
-        report = lm_refine_sed(pose0, mset, config)
+        report = lm_refine_sed(pose0, mset, max_iters)
     with _staged("clamp"):
         report.clamped = clamp_to_epipolar(mset, report.pose)
     report.candidate_index = cand_idx

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sedslam import ba
 from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
 from sedslam.geom import Se3Pose, rotation_angle, so3_exp, so3_log
 from sedslam.synth import make_ba_graph
@@ -88,11 +89,39 @@ class TestBaSolve:
         med = float(np.median(rmses))
         assert sigma / 2.0 < med < sigma * 2.0
 
+    def test_linearizes_only_at_accepted_points(self, monkeypatch):
+        assemble = ba._assemble
+        calls = []
+        monkeypatch.setattr(ba, "_assemble", lambda *args: calls.append(1) or assemble(*args))
+        graph, _, _ = make_ba_graph(2, n_frames=4, n_anchors=40, match_sigma=0.5,
+                                    pose_perturb_deg=3.0, pose_perturb_rel=0.03,
+                                    depth_perturb_rel=0.1)
+        report = ba_solve(graph)
+        accepted = len(report.cost_trace) - 1
+        assert len(calls) <= 1 + accepted
+        assert len(calls) < report.iterations
+
     def test_too_few_frames_or_anchors(self):
         graph, _, _ = make_ba_graph(5)
         with pytest.raises(ValueError):
             ba_solve(FactorGraph(graph.poses[:1], graph.intrinsics[:1], graph.anchors[:1],
                                  graph.depths[:1], []))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["matches", "weights", "anchors", "depths"])
+    def test_rejected_at_construction(self, field, bad):
+        graph, _, _ = make_ba_graph(12, n_frames=3, n_anchors=24)
+        edge = graph.edges[0]
+        matches, weights = edge.matches.copy(), edge.weights.copy()
+        anchors = [a.copy() for a in graph.anchors]
+        depths = [d.copy() for d in graph.depths]
+        target = {"matches": matches, "weights": weights, "anchors": anchors[0], "depths": depths[0]}
+        target[field].flat[0] = bad
+        with pytest.raises(ValueError, match=field):
+            edges = [Edge(edge.i, edge.j, matches, weights)] + graph.edges[1:]
+            FactorGraph(graph.poses, graph.intrinsics, anchors, depths, edges)
 
 
 class TestGaugeInvariance:

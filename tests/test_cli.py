@@ -87,6 +87,18 @@ class TestTwoViewCommand:
         assert main(["two-view", str(path)]) == 2
         assert "insufficient matches" in capsys.readouterr().err
 
+    def test_negative_max_iters_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_match_file(path, make_two_view(7)[0])
+        assert main(["two-view", str(path), "--max-iters", "-3"]) == 1
+        assert "max_iters" in capsys.readouterr().err
+
+    def test_max_iters_caps_iterations(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_match_file(path, make_two_view(7)[0])
+        assert main(["two-view", str(path), "--max-iters", "1"]) == 0
+        assert parse_report(capsys.readouterr().out)["iterations"] == "1"
+
     def test_json_report(self, tmp_path, capsys):
         mset, _ = make_two_view(2, 32)
         path = tmp_path / "m.txt"

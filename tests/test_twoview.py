@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sedslam import twoview
 from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
 from sedslam.geom import (
     Intrinsics,
@@ -336,6 +337,27 @@ class TestLmRefine:
         report = lm_refine_sed(pose, mset)
         assert np.all(np.isfinite(report.pose.rotation))
         assert np.all(np.isfinite(report.pose.translation_dir))
+
+    def test_linearizes_only_at_accepted_points(self, monkeypatch):
+        # Criterion-4 noise makes LM reject steps. A step is accepted exactly
+        # when its cost is below every cost evaluated before it.
+        sed_terms = twoview._sed_terms
+        calls = []
+
+        def recording(pose, mset, with_jacobian=False):
+            res, jac, n = sed_terms(pose, mset, with_jacobian)
+            calls.append((with_jacobian, float(np.sum(res * res))))
+            return res, jac, n
+
+        monkeypatch.setattr(twoview, "_sed_terms", recording)
+        noise = NoiseModel(gaussian_sigma=0.5, outlier_fraction=0.3, outlier_weight=0.01)
+        report = solve_two_view(make_two_view(0, 96, noise=noise)[0])
+        costs = [cost for jac, cost in calls if not jac]
+        accepted = sum(costs[i] < min(costs[:i]) for i in range(1, len(costs)))
+        linearizations = sum(jac for jac, _ in calls)
+        assert min(costs) == report.final_cost
+        assert linearizations <= 1 + accepted
+        assert linearizations < report.iterations
 
 
 class TestClamp:
