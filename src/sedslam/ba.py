@@ -14,6 +14,7 @@ scalar blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,117 +107,117 @@ def reprojection_residual(graph: FactorGraph, edge_index: int, k: int) -> np.nda
     return project(q, graph.intrinsics[edge.j]) - edge.matches[k]
 
 
-def _project_edge(graph, edge, poses, depths):
-    """Pinhole projection of edge i's anchors into camera j.
+class _Observations(NamedTuple):
+    """One row per (edge, owner anchor)."""
 
-    Returns (rays, y, q, z, ok, pixels): calibrated anchor rays, world and
-    camera-j points, the divisor depth (1 behind the camera), the in-front
-    mask and the pixels.
+    i: np.ndarray  # owner frame
+    j: np.ndarray  # target frame
+    d: np.ndarray  # row of the anchor in the flat depth vector
+    matches: np.ndarray
+    weights: np.ndarray
+    rays: np.ndarray  # calibrated anchor rays K_i^-1 (a, 1)
+    cams: np.ndarray  # target camera (fx, fy, cx, cy)
+
+
+def _observations(graph) -> _Observations:
+    """The observation table of ``graph``, rows in edge order."""
+    offsets = np.cumsum([0] + [len(a) for a in graph.anchors])
+    rays = np.concatenate([np.concatenate([a, np.ones((len(a), 1))], axis=1) @ k.inv_matrix().T
+                           for a, k in zip(graph.anchors, graph.intrinsics)])
+    cams = np.array([(k.fx, k.fy, k.cx, k.cy) for k in graph.intrinsics])
+    counts = [len(e.matches) for e in graph.edges]
+    i = np.repeat(np.array([e.i for e in graph.edges], dtype=int), counts)
+    j = np.repeat(np.array([e.j for e in graph.edges], dtype=int), counts)
+    d = np.concatenate([offsets[e.i] + np.arange(n) for e, n in zip(graph.edges, counts)]
+                       + [np.zeros(0, dtype=int)])
+    matches = np.concatenate([e.matches for e in graph.edges] + [np.zeros((0, 2))])
+    weights = np.concatenate([e.weights for e in graph.edges] + [np.zeros(0)])
+    return _Observations(i, j, d, matches, weights, rays[d], cams[j])
+
+
+def _state(graph):
+    """((rotations, translations), depths) as stacked and flat arrays."""
+    return ((np.stack([p.rotation for p in graph.poses]),
+             np.stack([p.translation for p in graph.poses])),
+            np.concatenate(graph.depths))
+
+
+def _project(obs, poses, depths):
+    """Pinhole projection of every observation.
+
+    Returns (y, q, z, ok, pixels): world and target-camera points, the
+    divisor depth (1 behind the camera), the in-front mask and the pixels.
     """
-    ki, kj = graph.intrinsics[edge.i], graph.intrinsics[edge.j]
-    a = graph.anchors[edge.i]
-    rays = np.concatenate([a, np.ones((len(a), 1))], axis=1) @ ki.inv_matrix().T
-    p = rays * depths[edge.i][:, None]
-    gi, gj = poses[edge.i], poses[edge.j]
-    y = p @ gi.rotation.T + gi.translation            # world points
-    q = (y - gj.translation) @ gj.rotation            # camera-j points
+    rot, trans = poses
+    y = np.einsum("nab,nb->na", rot[obs.i], obs.rays * depths[obs.d, None]) + trans[obs.i]
+    q = np.einsum("nba,nb->na", rot[obs.j], y - trans[obs.j])
     ok = q[:, 2] > 0.0
     z = np.where(ok, q[:, 2], 1.0)
-    pixels = np.stack([kj.fx * q[:, 0] / z + kj.cx, kj.fy * q[:, 1] / z + kj.cy], axis=1)
-    return rays, y, q, z, ok, pixels
+    pixels = obs.cams[:, :2] * q[:, :2] / z[:, None] + obs.cams[:, 2:]
+    return y, q, z, ok, pixels
 
 
-def _evaluate(graph, poses, depths):
+def _evaluate(obs, poses, depths):
     """Cost plus (rmse, behind-camera count); behind-camera terms get weight zero."""
-    res, wts, behind = [], [], 0
-    for edge in graph.edges:
-        *_, ok, pixels = _project_edge(graph, edge, poses, depths)
-        behind += int(np.sum(~ok))
-        w = edge.weights * ok
-        res.append(np.sqrt(w)[:, None] * (pixels - edge.matches))
-        wts.append(w)
-    res = np.concatenate(res)
+    *_, ok, pixels = _project(obs, poses, depths)
+    w = obs.weights * ok
+    res = np.sqrt(w)[:, None] * (pixels - obs.matches)
     cost = float(np.sum(res * res))
-    wsum = float(np.sum(np.concatenate(wts)))
+    wsum = float(np.sum(w))
     rmse = float(np.sqrt(cost / (2.0 * wsum))) if wsum > 0.0 else 0.0
-    return cost, (rmse, behind)
+    return cost, (rmse, int(np.sum(~ok)))
 
 
 def ba_cost(graph: FactorGraph) -> float:
     """Total weighted squared reprojection error of the graph."""
-    return _evaluate(graph, graph.poses, graph.depths)[0]
+    return _evaluate(_observations(graph), *_state(graph))[0]
 
 
-def _assemble(graph, poses, depths, anchor_offsets):
+def _scatter(index, values, size):
+    """Sum ``values`` into a zero vector of length ``size`` at ``index``."""
+    return np.bincount(index.ravel(), values.ravel(), minlength=size)
+
+
+def _assemble(obs, poses, depths):
     """Undamped normal equations (h_pp, h_pd, h_dd, g_p, g_d).
 
     Pose parameters are (omega, v) of a left-multiplied update with frame 0
     frozen; depth parameters are inverse depths, whose block h_dd is
-    diagonal.
+    diagonal. Terms are summed over all frames, then frame 0 is sliced off.
     """
-    n_pose = 6 * (graph.n_frames - 1)
-    n_depth = graph.n_anchors
-    h_pp = np.zeros((n_pose, n_pose))
-    h_pd = np.zeros((n_pose, n_depth))
-    h_dd = np.zeros(n_depth)
-    g_p = np.zeros(n_pose)
-    g_d = np.zeros(n_depth)
+    rot, trans = poses
+    y, q, z, ok, pixels = _project(obs, poses, depths)
+    sw = np.sqrt(obs.weights * ok)
+    dpi = np.zeros((len(z), 2, 3))
+    dpi[:, 0, 0] = obs.cams[:, 0] / z
+    dpi[:, 1, 1] = obs.cams[:, 1] / z
+    dpi[:, :, 2] = -obs.cams[:, :2] * q[:, :2] / (z * z)[:, None]
+    # Chain rule through the world point y: d pixel / d y = dpi Rjᵀ,
+    # d y / d xi_i = [-[y]x | I] and d y / d rho = -(y - t_i) d for inverse
+    # depth rho = 1/d. The target-pose Jacobian is the negative of the owner's.
+    j_y = np.einsum("nac,nbc->nab", dpi, rot[obs.j]) * sw[:, None, None]
+    j_i = np.concatenate([np.cross(y[:, None, :], j_y), j_y], axis=2)
+    j_d = np.einsum("nab,nb->na", j_y, -(y - trans[obs.i]) * depths[obs.d, None])
+    rw = (pixels - obs.matches) * sw[:, None]
 
-    for edge in graph.edges:
-        rays, y, q, z, ok, pixels = _project_edge(graph, edge, poses, depths)
-        kj = graph.intrinsics[edge.j]
-        gi, gj = poses[edge.i], poses[edge.j]
-        r = pixels - edge.matches
-        sw = np.sqrt(edge.weights * ok)
-        n = len(rays)
-        inv_z = 1.0 / z
-        dpi = np.zeros((n, 2, 3))
-        dpi[:, 0, 0] = kj.fx * inv_z
-        dpi[:, 0, 2] = -kj.fx * q[:, 0] * inv_z * inv_z
-        dpi[:, 1, 1] = kj.fy * inv_z
-        dpi[:, 1, 2] = -kj.fy * q[:, 1] * inv_z * inv_z
-
-        rjt = gj.rotation.T
-        # d q / d xi_i = [-Rjᵀ [y]x | Rjᵀ], d q / d xi_j is its negative.
-        y_skew = np.zeros((n, 3, 3))
-        y_skew[:, 0, 1] = -y[:, 2]
-        y_skew[:, 0, 2] = y[:, 1]
-        y_skew[:, 1, 0] = y[:, 2]
-        y_skew[:, 1, 2] = -y[:, 0]
-        y_skew[:, 2, 0] = -y[:, 1]
-        y_skew[:, 2, 1] = y[:, 0]
-        dq_xi = np.empty((n, 3, 6))
-        dq_xi[:, :, :3] = -np.einsum("ab,nbc->nac", rjt, y_skew)
-        dq_xi[:, :, 3:] = np.broadcast_to(rjt, (n, 3, 3))
-
-        # d q / d rho for inverse depth rho = 1/d: -Rjᵀ Ri u d^2.
-        d2 = depths[edge.i] ** 2
-        dq_rho = -(rays @ (rjt @ gi.rotation).T) * d2[:, None]
-
-        j_i = np.einsum("nij,njp->nip", dpi, dq_xi) * sw[:, None, None]
-        j_d = np.einsum("nij,nj->ni", dpi, dq_rho) * sw[:, None]
-        rw = r * sw[:, None]
-
-        blocks = []
-        if edge.i > 0:
-            blocks.append((edge.i, j_i))
-        if edge.j > 0:
-            blocks.append((edge.j, -j_i))
-        d_idx = anchor_offsets[edge.i] + np.arange(n)
-
-        for fa, ja in blocks:
-            sa = slice(6 * (fa - 1), 6 * fa)
-            ja_flat = ja.reshape(-1, 6)
-            g_p[sa] += ja_flat.T @ rw.reshape(-1)
-            for fb, jb in blocks:
-                sb = slice(6 * (fb - 1), 6 * fb)
-                h_pp[sa, sb] += ja_flat.T @ jb.reshape(-1, 6)
-            h_pd_block = np.einsum("nip,ni->np", ja, j_d)
-            h_pd[sa, d_idx] += h_pd_block.T
-        h_dd[d_idx] += np.sum(j_d * j_d, axis=1)
-        g_d[d_idx] += np.sum(j_d * rw, axis=1)
-
-    return h_pp, h_pd, h_dd, g_p, g_d
+    # Pose columns of each row's owner and target frames among all frames;
+    # every target block is the owner block with its sign flipped.
+    n_pose, n_depth = 6 * len(rot), len(depths)
+    own = 6 * obs.i[:, None] + np.arange(6)
+    tgt = 6 * obs.j[:, None] + np.arange(6)
+    both = np.concatenate([own, tgt])
+    jj = np.einsum("nap,naq->npq", j_i, j_i)
+    h_pp = _scatter(np.concatenate([own, tgt, own, tgt])[:, :, None] * n_pose
+                    + np.concatenate([own, tgt, tgt, own])[:, None, :],
+                    np.concatenate([jj, jj, -jj, -jj]), n_pose * n_pose).reshape(n_pose, -1)
+    jd = np.einsum("nap,na->np", j_i, j_d)
+    h_pd = _scatter(both * n_depth + np.tile(obs.d, 2)[:, None], np.concatenate([jd, -jd]),
+                    n_pose * n_depth).reshape(n_pose, -1)
+    jr = np.einsum("nap,na->np", j_i, rw)
+    g_p = _scatter(both, np.concatenate([jr, -jr]), n_pose)
+    h_dd = _scatter(obs.d, np.sum(j_d * j_d, axis=1), n_depth)
+    g_d = _scatter(obs.d, np.sum(j_d * rw, axis=1), n_depth)
+    return h_pp[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
 
 
 def _damped_schur_solve(system, lam):
@@ -237,7 +238,7 @@ def _damped_schur_solve(system, lam):
     return np.concatenate([pose_step, depth_step])
 
 
-def _retract(x, step, anchor_offsets, target_mean_log_depth):
+def _retract(x, step, target_mean_log_depth):
     """Apply a damped step to (poses, depths), then restore the gauge.
 
     Returns None when an inverse depth turns non-positive. The gauge
@@ -245,28 +246,22 @@ def _retract(x, step, anchor_offsets, target_mean_log_depth):
     c*t + (1-c)*t_0, which restores the mean log-depth, leaves the
     reprojection cost unchanged and keeps the first (frozen) pose fixed.
     """
-    poses, depths = x
-    n_pose = 6 * (len(poses) - 1)
-    pose_step = step[:n_pose].reshape(-1, 6)
-    depth_step = step[n_pose:]
-    new_poses = [poses[0]]
-    for old, xi in zip(poses[1:], pose_step):
-        rot = so3_exp(xi[:3])
-        new_poses.append(Se3Pose(rot @ old.rotation, rot @ old.translation + xi[3:]))
-    new_depths = []
-    for d, offset in zip(depths, anchor_offsets):
-        rho_new = 1.0 / d + depth_step[offset:offset + len(d)]
-        if np.any(rho_new <= 0.0):
-            return None
-        new_depths.append(1.0 / rho_new)
+    (rot, trans), depths = x
+    n_pose = 6 * (len(rot) - 1)
+    rho = 1.0 / depths + step[n_pose:]
+    if np.any(rho <= 0.0):
+        return None
+    xi = np.concatenate([np.zeros(6), step[:n_pose]]).reshape(-1, 6)
+    d_rot = np.stack([so3_exp(w) for w in xi[:, :3]])
+    new_rot = d_rot @ rot
+    new_trans = np.einsum("fab,fb->fa", d_rot, trans) + xi[:, 3:]
+    new_depths = 1.0 / rho
 
-    c = float(np.exp(target_mean_log_depth - np.mean(np.log(np.concatenate(new_depths)))))
-    if abs(c - 1.0) < 1e-15:
-        return new_poses, new_depths
-    t0 = new_poses[0].translation
-    return ([new_poses[0]] + [Se3Pose(p.rotation, c * p.translation + (1.0 - c) * t0)
-                              for p in new_poses[1:]],
-            [c * d for d in new_depths])
+    c = float(np.exp(target_mean_log_depth - np.mean(np.log(new_depths))))
+    if abs(c - 1.0) >= 1e-15:
+        new_trans[1:] = c * new_trans[1:] + (1.0 - c) * new_trans[0]
+        new_depths = c * new_depths
+    return (new_rot, new_trans), new_depths
 
 
 def ba_solve(graph: FactorGraph) -> BaReport:
@@ -275,16 +270,19 @@ def ba_solve(graph: FactorGraph) -> BaReport:
         raise ValueError("bundle adjustment needs at least 2 frames")
     if graph.n_anchors < 6:
         raise ValueError("bundle adjustment needs at least 6 anchors")
-    anchor_offsets = np.concatenate([[0], np.cumsum([len(a) for a in graph.anchors])])[:-1]
-    target_mld = float(np.mean(np.log(np.concatenate(graph.depths))))
+    obs = _observations(graph)
+    x0 = _state(graph)
+    target_mld = float(np.mean(np.log(x0[1])))
 
     result = levenberg_marquardt(
-        (graph.poses, graph.depths),
-        lambda x: _evaluate(graph, *x),
-        lambda x: _assemble(graph, *x, anchor_offsets),
+        x0,
+        lambda x: _evaluate(obs, *x),
+        lambda x: _assemble(obs, *x),
         _damped_schur_solve,
-        lambda x, step: _retract(x, step, anchor_offsets, target_mld))
-    graph.poses, graph.depths = result.x
+        lambda x, step: _retract(x, step, target_mld))
+    (rot, trans), depths = result.x
+    graph.poses = [Se3Pose(r, t) for r, t in zip(rot, trans)]
+    graph.depths = np.split(depths, np.cumsum([len(a) for a in graph.anchors])[:-1])
     initial_rmse, _ = result.initial_info
     final_rmse, behind = result.info
     return BaReport(iterations=result.iterations, initial_rmse=initial_rmse,
@@ -307,9 +305,10 @@ def reproject_matches(graph: FactorGraph) -> int:
     idempotent. Returns the number of behind-camera anchors, whose matches
     are left unchanged.
     """
-    flagged = 0
-    for edge in graph.edges:
-        *_, ok, pixels = _project_edge(graph, edge, graph.poses, graph.depths)
-        flagged += int(np.sum(~ok))
-        edge.matches = np.where(ok[:, None], pixels, edge.matches)
-    return flagged
+    obs = _observations(graph)
+    *_, ok, pixels = _project(obs, *_state(graph))
+    matches = np.where(ok[:, None], pixels, obs.matches)
+    ends = np.cumsum([len(e.matches) for e in graph.edges])
+    for edge, m in zip(graph.edges, np.split(matches, ends[:-1])):
+        edge.matches = m
+    return int(np.sum(~ok))

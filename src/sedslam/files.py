@@ -12,24 +12,21 @@ Trajectories use the TUM convention ``timestamp tx ty tz qx qy qz qw``
 (world-from-camera); the optional depth sidecar holds lines
 ``timestamp anchor_id depth`` where anchor ids are contiguous from 0 per
 timestamp and row order pairs them with the match-file rows of that frame.
+Every sidecar timestamp must match a pose, and timestamps are written and
+compared at ``sim3.TIMESTAMP_DECIMALS`` decimals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import MatchFileError, TrajectoryFileError
 from .geom import Intrinsics, Se3Pose, quat_from_rotation, rotation_from_quat
-from .sim3 import Keyframe, Trajectory
+from .sim3 import TIMESTAMP_DECIMALS, Keyframe, Trajectory, timestamp_key
 from .twoview import AnchorMatchSet
-
-_TS_KEY_DECIMALS = 6
-
-
-def _ts_key(ts: float) -> float:
-    return round(float(ts), _TS_KEY_DECIMALS)
 
 
 def write_match_file(path, mset: AnchorMatchSet) -> None:
@@ -110,7 +107,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
     for kf in traj.keyframes:
         t = kf.pose.translation
         q = quat_from_rotation(kf.pose.rotation)
-        lines.append(f"{kf.timestamp:.6f} {t[0]:.9f} {t[1]:.9f} {t[2]:.9f} "
+        lines.append(f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} {t[0]:.9f} {t[1]:.9f} {t[2]:.9f} "
                      f"{q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -120,7 +117,7 @@ def write_depth_sidecar(path, traj: Trajectory) -> None:
     lines = ["# timestamp anchor_id depth"]
     for kf in traj.keyframes:
         for idx, d in enumerate(kf.depths):
-            lines.append(f"{kf.timestamp:.6f} {idx} {d:.9f}")
+            lines.append(f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} {idx} {d:.9f}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -136,16 +133,22 @@ def read_depth_sidecar(path) -> dict:
             if len(parts) != 3:
                 raise TrajectoryFileError(f"line {lineno}: expected 3 fields")
             try:
-                ts = _ts_key(float(parts[0]))
+                ts = float(parts[0])
                 idx = int(parts[1])
                 depth = float(parts[2])
             except ValueError as exc:
                 raise TrajectoryFileError(f"line {lineno}: {exc}") from exc
-            if depth <= 0.0:
-                raise TrajectoryFileError(f"line {lineno}: depth must be positive")
-            if idx in per_ts.setdefault(ts, {}):
+            if not 0.0 < depth < math.inf:
+                raise TrajectoryFileError(f"line {lineno}: depth must be finite and positive")
+            key = timestamp_key(ts)
+            entries = per_ts.get(key)
+            if entries is None:
+                if not math.isfinite(ts):
+                    raise TrajectoryFileError(f"line {lineno}: timestamp must be finite")
+                entries = per_ts[key] = {}
+            if idx in entries:
                 raise TrajectoryFileError(f"line {lineno}: duplicate anchor id {idx}")
-            per_ts[ts][idx] = depth
+            entries[idx] = depth
     out = {}
     for ts, entries in per_ts.items():
         ids = sorted(entries)
@@ -171,18 +174,25 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise TrajectoryFileError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, vals)):
+                raise TrajectoryFileError(f"line {lineno}: non-finite value")
             ts, tx, ty, tz, qx, qy, qz, qw = vals
             qn = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
             if abs(qn - 1.0) > 1e-6:
                 raise TrajectoryFileError(f"line {lineno}: quaternion norm {qn} is not 1")
             pose = Se3Pose(rotation_from_quat((qx, qy, qz, qw)), (tx, ty, tz))
-            kf_depths = depths.get(_ts_key(ts), np.zeros(0))
-            keyframes.append(Keyframe(ts, pose, kf_depths))
+            keyframes.append(Keyframe(ts, pose, depths.pop(timestamp_key(ts), np.zeros(0))))
     if not keyframes:
         raise TrajectoryFileError("trajectory file holds no poses")
-    stamps = [kf.timestamp for kf in keyframes]
+    if depths:
+        first = next(iter(depths))
+        raise TrajectoryFileError(
+            f"{sum(len(d) for d in depths.values())} depth-sidecar rows match no pose "
+            f"timestamp (first: {first:.{TIMESTAMP_DECIMALS}f})")
+    stamps = [timestamp_key(kf.timestamp) for kf in keyframes]
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
-        raise TrajectoryFileError("timestamps must be strictly increasing")
+        raise TrajectoryFileError(
+            f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
     return Trajectory(tuple(keyframes))
 
 

@@ -14,6 +14,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ def _as_rotation(rot) -> np.ndarray:
     rot = np.array(rot, dtype=float)
     if rot.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {rot.shape}")
+    if not all(map(math.isfinite, rot.ravel().tolist())):
+        raise ValueError("rotation must be finite")
     if np.max(np.abs(rot @ rot.T - np.eye(3))) > _ORTHO_TOL:
         raise ValueError("rotation matrix is not orthonormal")
     if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
@@ -132,6 +135,8 @@ def _as_vector(v, name="vector") -> np.ndarray:
     v = np.array(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got {v.shape}")
+    if not all(map(math.isfinite, v.tolist())):
+        raise ValueError(f"{name} must be finite")
     v.flags.writeable = False
     return v
 

@@ -11,6 +11,7 @@ that maps one trajectory into the other's reference frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,9 @@ RATIO_BOUND = 1.05
 INLIER_THRESHOLD = 0.3
 # Minimum number of valid triangulated depths across both sides.
 MIN_VALID_DEPTHS = 10
+# Decimals of every timestamp written to a file; keyframe timestamps must
+# stay distinct at this precision to survive a write and read.
+TIMESTAMP_DECIMALS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +39,12 @@ class Keyframe:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"keyframe timestamp must be finite, got {self.timestamp}")
         d = np.array(self.depths, dtype=float).reshape(-1)
-        if np.any(d <= 0.0):
-            raise ValueError("keyframe depths must be positive")
+        # min() and max() propagate NaN, which fails both comparisons.
+        if d.size and not (d.min() > 0.0 and d.max() < math.inf):
+            raise ValueError("keyframe depths must be finite and positive")
         d.flags.writeable = False
         object.__setattr__(self, "depths", d)
         if self.anchors is not None:
@@ -144,6 +151,8 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
         raise ValueError("paired non-empty depth lists required")
     if ratio_bound <= 1.0:
         raise ValueError("ratio bound must exceed 1")
+    if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(dp) & (dp > 0.0))):
+        raise ValueError("depths must be finite and positive")
     candidates = d / dp
     ratios = d[None, :] / (candidates[:, None] * dp[None, :])
     counts = np.sum((ratios > 1.0 / ratio_bound) & (ratios < ratio_bound), axis=1)
@@ -213,6 +222,13 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     return JoinEstimate(world, cam, scale_a, scale_b, report, candidate)
 
 
+def timestamp_key(ts: float) -> float:
+    """``ts`` rounded to ``TIMESTAMP_DECIMALS`` decimals, the digits the
+    file writers print: two timestamps share a key exactly when they are
+    written alike."""
+    return round(float(ts), TIMESTAMP_DECIMALS)
+
+
 def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
                        sim3: Sim3Transform) -> Trajectory:
     """Map trajectory b through a world-level Sim(3) and interleave by time.
@@ -220,12 +236,12 @@ def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
     Depths of b scale by ``sim3.scale`` since camera coordinates rescale
     alongside the world.
     """
-    ts_a = set(np.round(traj_a.timestamps(), 9).tolist())
-    ts_b = set(np.round(traj_b.timestamps(), 9).tolist())
-    common = ts_a & ts_b
+    common = ({timestamp_key(t) for t in traj_a.timestamps()}
+              & {timestamp_key(t) for t in traj_b.timestamps()})
     if common:
         raise TimestampCollisionError(
-            f"{len(common)} timestamps appear in both trajectories")
+            f"{len(common)} timestamps appear in both trajectories "
+            f"at {TIMESTAMP_DECIMALS} decimals")
     mapped = [replace(k, pose=sim3.transform_pose(k.pose), depths=sim3.scale * k.depths)
               for k in traj_b.keyframes]
     merged = sorted(list(traj_a.keyframes) + mapped, key=lambda k: k.timestamp)

@@ -3,7 +3,7 @@ import pytest
 
 from sedslam import ba
 from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
-from sedslam.geom import Se3Pose, rotation_angle, so3_exp, so3_log
+from sedslam.geom import Intrinsics, Se3Pose, rotation_angle, so3_exp, so3_log
 from sedslam.synth import make_ba_graph
 
 
@@ -24,6 +24,26 @@ def naive_residual(graph, edge_index, k):
     q = (np.linalg.inv(mj) @ mi @ p)[:3]
     proj = np.array([kj.fx * q[0] / q[2] + kj.cx, kj.fy * q[1] / q[2] + kj.cy])
     return proj - edge.matches[k]
+
+
+def weighted_residuals(graph):
+    """sqrt(w) * residual of every (edge, anchor), from the scalar oracle."""
+    return np.concatenate([np.sqrt(e.weights[k]) * reprojection_residual(graph, n, k)
+                           for n, e in enumerate(graph.edges) for k in range(len(e.matches))])
+
+
+def with_pose_step(graph, frame, xi):
+    """The graph with frame's pose left-multiplied by exp(xi), xi = (omega, v)."""
+    rot = so3_exp(xi[:3])
+    poses = list(graph.poses)
+    poses[frame] = Se3Pose(rot @ poses[frame].rotation, rot @ poses[frame].translation + xi[3:])
+    return FactorGraph(poses, graph.intrinsics, graph.anchors, graph.depths, graph.edges)
+
+
+def with_inverse_depth_step(graph, frame, k, step):
+    depths = [d.copy() for d in graph.depths]
+    depths[frame][k] = 1.0 / (1.0 / depths[frame][k] + step)
+    return FactorGraph(graph.poses, graph.intrinsics, graph.anchors, depths, graph.edges)
 
 
 class TestReprojectionResidual:
@@ -106,6 +126,46 @@ class TestBaSolve:
         with pytest.raises(ValueError):
             ba_solve(FactorGraph(graph.poses[:1], graph.intrinsics[:1], graph.anchors[:1],
                                  graph.depths[:1], []))
+
+
+class TestAssemble:
+    def test_gradient_and_diagonals_match_finite_differences(self):
+        graph, _, _ = make_ba_graph(13, n_frames=3, n_anchors=12, match_sigma=0.5,
+                                    pose_perturb_deg=2.0, pose_perturb_rel=0.02,
+                                    depth_perturb_rel=0.05)
+        # Unequal focal lengths per frame, so that a swapped fx/fy or an owner
+        # camera in place of the target camera shows.
+        cams = [Intrinsics(240.0 + 10 * f, 270.0 - 5 * f, 250.0 + f, 262.0 - f) for f in range(3)]
+        graph = FactorGraph(graph.poses, cams, graph.anchors, graph.depths, graph.edges)
+        h_pp, _, h_dd, g_p, g_d = ba._assemble(ba._observations(graph), *ba._state(graph))
+        r0 = weighted_residuals(graph)
+        h = 1e-6
+
+        def column(plus, minus):
+            return (weighted_residuals(plus) - weighted_residuals(minus)) / (2.0 * h)
+
+        pose_cols = [column(with_pose_step(graph, f, h * np.eye(6)[c]),
+                            with_pose_step(graph, f, -h * np.eye(6)[c]))
+                     for f in range(1, graph.n_frames) for c in range(6)]
+        depth_cols = [column(with_inverse_depth_step(graph, f, k, h),
+                             with_inverse_depth_step(graph, f, k, -h))
+                      for f in range(graph.n_frames) for k in range(len(graph.depths[f]))]
+        for cols, grad, diag in ((pose_cols, g_p, np.diag(h_pp)), (depth_cols, g_d, h_dd)):
+            jac = np.array(cols)
+            fd_grad, fd_diag = jac @ r0, np.sum(jac * jac, axis=1)
+            assert np.max(np.abs(grad - fd_grad)) < 1e-6 * np.max(np.abs(fd_grad))
+            assert np.max(np.abs(diag - fd_diag)) < 1e-6 * np.max(fd_diag)
+
+    def test_cost_with_duplicate_edge_and_edge_into_frame_0(self):
+        graph, _, _ = make_ba_graph(14, n_frames=3, n_anchors=12, match_sigma=1.0,
+                                    pose_perturb_deg=2.0, depth_perturb_rel=0.05)
+        into_0 = next(e for e in graph.edges if e.j == 0)
+        rng = np.random.default_rng(15)
+        graph.edges.append(Edge(into_0.i, 0, into_0.matches + rng.normal(0.0, 2.0, (4, 2)),
+                                rng.uniform(0.1, 1.0, 4)))
+        expected = sum(e.weights[k] * np.sum(reprojection_residual(graph, n, k) ** 2)
+                       for n, e in enumerate(graph.edges) for k in range(len(e.matches)))
+        assert ba_cost(graph) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNonFiniteInput:
@@ -213,6 +273,19 @@ class TestReprojectMatches:
         reproject_matches(graph)
         for a, e in zip(first, graph.edges):
             assert np.max(np.abs(a - e.matches)) == 0.0
+
+    def test_behind_camera_anchor_keeps_its_match(self):
+        # Camera 1 sits 3 units ahead of camera 0 on its optical axis: anchor 0,
+        # at depth 1, lies behind camera 1 and the others in front of it.
+        k = Intrinsics(256.0, 256.0, 256.0, 256.0)
+        anchors = np.array([[256.0, 256.0], [200.0, 240.0], [300.0, 280.0], [260.0, 220.0]])
+        graph = FactorGraph([Se3Pose.identity(), Se3Pose(np.eye(3), [0.0, 0.0, 3.0])], [k, k],
+                            [anchors, np.zeros((0, 2))], [[1.0, 5.0, 5.5, 6.0], []],
+                            [Edge(0, 1, np.full((4, 2), 100.0), np.ones(4))])
+        assert reproject_matches(graph) == 1
+        assert np.array_equal(graph.edges[0].matches[0], [100.0, 100.0])
+        for a in range(1, 4):
+            assert np.linalg.norm(reprojection_residual(graph, 0, a)) < 1e-12
 
     def test_noise_free_matches_unchanged(self):
         graph, _, _ = make_ba_graph(11)

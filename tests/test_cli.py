@@ -168,6 +168,17 @@ class TestJoinCommand:
         assert abs(q[3] - 1.0) < 1e-6
         assert np.linalg.norm(payload["translation"]) < 1e-6
 
+    def test_orphan_sidecar_rows_exit_1(self, tmp_path, capsys):
+        pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        with open(paths["trajB_d"], "a") as fh:
+            fh.write("99999.5 0 1.0\n")
+        code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
+                     "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
+                     "--frame-a", str(fa), "--frame-b", str(fb),
+                     "--out", str(tmp_path / "m.txt"), "--sim3-out", str(tmp_path / "s.json")])
+        assert code == 1
+        assert "1 depth-sidecar rows match no pose" in capsys.readouterr().err
+
     def test_non_covisible_pair_exits_3(self, tmp_path, capsys):
         pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=6, shuffle_matches=True)
         code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],

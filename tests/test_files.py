@@ -1,7 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedslam.errors import MatchFileError, TrajectoryFileError
+from sedslam.errors import MatchFileError, TimestampCollisionError, TrajectoryFileError
 from sedslam.files import (
     read_depth_sidecar,
     read_match_file,
@@ -10,8 +15,8 @@ from sedslam.files import (
     write_match_file,
     write_trajectory,
 )
-from sedslam.geom import Se3Pose, so3_exp
-from sedslam.sim3 import Keyframe, Trajectory
+from sedslam.geom import Se3Pose, Sim3Transform, so3_exp
+from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories
 from sedslam.synth import NoiseModel, make_two_view
 
 
@@ -110,6 +115,25 @@ class TestTrajectoryFile:
         with pytest.raises(TrajectoryFileError):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("row", ["nan 0 0 0 0 0 0 1", "inf 0 0 0 0 0 0 1",
+                                     "1.0 nan 0 0 0 0 0 1", "1.0 0 0 -inf 0 0 0 1",
+                                     "1.0 0 0 0 nan 0 0 1"])
+    def test_non_finite_field_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.5 0 0 0 0 0 0 1\n" + row + "\n")
+        with pytest.raises(TrajectoryFileError, match="line 2: non-finite"):
+            read_trajectory(path)
+
+    def test_orphan_sidecar_rows_raise(self, tmp_path):
+        tp = tmp_path / "t.txt"
+        dp = tmp_path / "t.depths"
+        tp.write_text("1.0 0 0 0 0 0 0 1\n")
+        dp.write_text("1.0 0 2.0\n3.5 0 2.0\n3.5 1 2.5\n")
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_trajectory(tp, dp)
+        assert "2 depth-sidecar rows" in str(exc.value)
+        assert "3.500000" in str(exc.value)
+
 
 class TestDepthSidecar:
     def test_duplicate_anchor_id(self, tmp_path):
@@ -129,3 +153,62 @@ class TestDepthSidecar:
         path.write_text("0.0 0 -1.0\n")
         with pytest.raises(TrajectoryFileError):
             read_depth_sidecar(path)
+
+    @pytest.mark.parametrize("row", ["0.0 1 nan", "0.0 1 inf", "nan 0 1.0", "-inf 0 1.0"])
+    def test_non_finite_field_names_line(self, tmp_path, row):
+        path = tmp_path / "d.txt"
+        path.write_text("0.0 0 1.0\n" + row + "\n")
+        with pytest.raises(TrajectoryFileError, match="line 2: .* must be finite"):
+            read_depth_sidecar(path)
+
+
+# A keyframe's rotation vector, translation and depths. Timestamps lie on a
+# 0.25 s grid, and trajectory B's offset puts its stamps between A's
+# (0.125 s), within file precision of them (1e-7, 4e-7) or just beyond it
+# (6e-7, 2e-6).
+_KEYFRAME = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                      st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+                      st.lists(st.floats(0.05, 80.0), max_size=3))
+
+
+def _trajectory(ticks, offset, keyframes):
+    return Trajectory(tuple(Keyframe(0.25 * t + offset, Se3Pose(so3_exp(w), p), d)
+                            for t, (w, p, d) in zip(sorted(ticks), keyframes)))
+
+
+def _round_trip(traj, directory):
+    tp, dp = os.path.join(directory, "t.txt"), os.path.join(directory, "t.depths")
+    write_trajectory(tp, traj)
+    write_depth_sidecar(dp, traj)
+    back = read_trajectory(tp, dp)
+    assert [f"{k.timestamp:.6f}" for k in back.keyframes] == \
+        [f"{k.timestamp:.6f}" for k in traj.keyframes]
+    for a, b in zip(traj.keyframes, back.keyframes):
+        assert np.max(np.abs(a.pose.rotation - b.pose.rotation)) < 1e-8
+        assert np.max(np.abs(a.pose.translation - b.pose.translation)) < 1e-9
+        assert len(a.depths) == len(b.depths)
+        assert np.all(np.abs(a.depths - b.depths) <= 5e-10 + 1e-15 * a.depths)
+    return back
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ticks_a=st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
+       ticks_b=st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
+       offset=st.sampled_from([0.125, 1e-7, 4e-7, 6e-7, 2e-6]),
+       keyframes=st.lists(_KEYFRAME, min_size=10, max_size=10),
+       scale=st.floats(0.5, 2.0))
+def test_write_read_and_merge_round_trip(ticks_a, ticks_b, offset, keyframes, scale):
+    traj_a = _trajectory(ticks_a, 0.0, keyframes[:5])
+    traj_b = _trajectory(ticks_b, offset, keyframes[5:])
+    sim3 = Sim3Transform(scale, so3_exp([0.1, -0.2, 0.3]), np.array([1.0, 2.0, -0.5]))
+    with tempfile.TemporaryDirectory() as directory:
+        _round_trip(traj_a, directory)
+        _round_trip(traj_b, directory)
+        written_a = {f"{t:.6f}" for t in traj_a.timestamps()}
+        written_b = {f"{t:.6f}" for t in traj_b.timestamps()}
+        if written_a & written_b:
+            with pytest.raises(TimestampCollisionError):
+                merge_trajectories(traj_a, traj_b, sim3)
+        else:
+            merged = merge_trajectories(traj_a, traj_b, sim3)
+            assert len(_round_trip(merged, directory)) == len(traj_a) + len(traj_b)

@@ -262,3 +262,20 @@ class TestPoseTypes:
         for _ in range(100):
             r = so3_exp(rng.normal(size=3))
             assert np.max(np.abs(rotation_from_quat(quat_from_rotation(r)) - r)) < 1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build, field", [
+        (Se3Pose, "rotation"),
+        (Se3Pose, "translation"),
+        (lambda rot, t: Sim3Transform(1.0, rot, t), "rotation"),
+        (lambda rot, t: Sim3Transform(1.0, rot, t), "translation"),
+        (RelativePose, "rotation"),
+    ], ids=["se3-rotation", "se3-translation", "sim3-rotation", "sim3-translation",
+            "relative-rotation"])
+    def test_rejected_at_construction(self, build, field, bad):
+        rot, t = np.eye(3), np.array([1.0, 0.0, 0.0])
+        {"rotation": rot, "translation": t}[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(rot, t)

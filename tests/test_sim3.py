@@ -97,6 +97,18 @@ class TestTriangulatedDepths:
             triangulated_depths(cand)
 
 
+class TestKeyframe:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_depth_raises(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Keyframe(0.0, Se3Pose.identity(), [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_timestamp_raises(self, bad):
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            Keyframe(bad, Se3Pose.identity(), [1.0])
+
+
 class TestEstimateScale:
     def test_exact_ratio(self):
         rng = np.random.default_rng(3)
@@ -124,6 +136,15 @@ class TestEstimateScale:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             estimate_scale([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("side", ["map", "triangulated"])
+    def test_non_finite_or_non_positive_depth_raises(self, side, bad):
+        d = np.array([1.0, 2.0, 2.0, 3.0])
+        dp = np.array([0.5, 1.0, 1.0, 1.5])
+        (d if side == "map" else dp)[1] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_scale(d, dp)
 
     def test_equivariance_under_depth_scaling(self):
         rng = np.random.default_rng(5)
@@ -249,6 +270,13 @@ class TestMerge:
     def test_timestamp_collision_raises(self):
         a = self._simple_trajectory(0.0, seed=8)
         b = self._simple_trajectory(0.0, seed=9)
+        with pytest.raises(TimestampCollisionError):
+            merge_trajectories(a, b, Sim3Transform.identity())
+
+    def test_collision_below_file_precision_raises(self):
+        pose = Se3Pose.identity()
+        a = Trajectory((Keyframe(1.0, pose, [1.0]),))
+        b = Trajectory((Keyframe(1.0000001, pose, [1.0]),))
         with pytest.raises(TimestampCollisionError):
             merge_trajectories(a, b, Sim3Transform.identity())
 
