@@ -256,6 +256,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError("intrinsics must be finite")
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
 

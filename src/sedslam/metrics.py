@@ -70,19 +70,34 @@ def umeyama_alignment(src, dst, with_scale: bool = True):
 
 
 def associate_timestamps(ts_a, ts_b, max_dt: float = ASSOCIATION_WINDOW):
-    """Greedy mutual nearest-neighbor association within a time window."""
-    ts_a = np.asarray(ts_a, dtype=float)
-    ts_b = np.asarray(ts_b, dtype=float)
-    pairs = [(abs(a - b), i, j) for i, a in enumerate(ts_a) for j, b in enumerate(ts_b)
-             if abs(a - b) <= max_dt]
-    pairs.sort()
+    """Greedy mutual nearest-neighbor association within a time window.
+
+    Pairs with ``abs(a - b) <= max_dt`` are taken in order of (dt, i, j),
+    each stamp at most once, and returned sorted by (i, j). Candidates come
+    from a ``searchsorted`` window over the sorted ``ts_b``, widened by a few
+    ulps of the stamps so that rounding of ``a ± max_dt`` loses none, so the
+    cost grows with the pairs inside the window rather than with n·m.
+    """
+    ts_a = np.asarray(ts_a, dtype=float).reshape(-1)
+    ts_b = np.asarray(ts_b, dtype=float).reshape(-1)
+    order_b = np.argsort(ts_b, kind="stable")
+    sorted_b = ts_b[order_b]
+    reach = max_dt * (1.0 + 1e-12) + 1e-15 * np.abs(ts_a)
+    start = np.searchsorted(sorted_b, ts_a - reach, side="left")
+    lengths = np.maximum(np.searchsorted(sorted_b, ts_a + reach, side="right") - start, 0)
+    i = np.repeat(np.arange(len(ts_a)), lengths)
+    j = order_b[np.arange(len(i)) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)]
+    dt = np.abs(ts_a[i] - ts_b[j])
+    keep = dt <= max_dt
+    i, j, dt = i[keep], j[keep], dt[keep]
+    order = np.lexsort((j, i, dt))
     used_a, used_b, matches = set(), set(), []
-    for _, i, j in pairs:
-        if i in used_a or j in used_b:
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a in used_a or b in used_b:
             continue
-        used_a.add(i)
-        used_b.add(j)
-        matches.append((i, j))
+        used_a.add(a)
+        used_b.add(b)
+        matches.append((a, b))
     matches.sort()
     return matches
 

@@ -1,10 +1,13 @@
 """Joining disjoint trajectories through a relative Sim(3).
 
 Given a cross-trajectory two-view pose, the translation magnitude and the
-inter-session scale are recovered by brute-force depth-ratio voting: for
-each side, every candidate scale ``s = d_k / d'_k`` (map depth over
-unit-baseline triangulated depth) is scored by the number of pairs with
-``1/lam < d_k / (s d'_k) < lam``, and the maximizer wins. The two per-side
+inter-session scale are recovered by depth-ratio voting: for each side,
+every candidate scale ``s = d_k / d'_k`` (map depth over unit-baseline
+triangulated depth) is scored by the number of pairs with
+``1/lam < d_k / (s d'_k) < lam``, and the maximizer wins. The vote counts
+over the sorted candidates, in O(n log n) time and O(n) memory unless many
+ratios crowd a band edge, and returns exactly what scoring every pair
+would. The two per-side
 magnitudes combine with the solved rotation into a similarity transform
 that maps one trajectory into the other's reference frame.
 """
@@ -26,6 +29,10 @@ RATIO_BOUND = 1.05
 INLIER_THRESHOLD = 0.3
 # Minimum number of valid triangulated depths across both sides.
 MIN_VALID_DEPTHS = 10
+# Relative distance from a band edge within which a ratio's side of the edge
+# is decided by the vote's own arithmetic rather than by its sorted position.
+# Rounding moves a ratio by a few ulps (about 1e-15), far inside this margin.
+_EDGE_MARGIN = 1e-9
 # Decimals of every timestamp written to a file; keyframe timestamps must
 # stay distinct at this precision to survive a write and read.
 TIMESTAMP_DECIMALS = 6
@@ -140,10 +147,19 @@ def triangulated_depths(candidate: JoinCandidate) -> TriangulatedDepths:
 
 
 def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> ScaleEstimate:
-    """Brute-force depth-ratio vote recovering the translation magnitude.
+    """Depth-ratio vote recovering the translation magnitude.
 
-    Every candidate ``s = d_k / d'_k`` is scored by how many pairs fall in
-    the ratio band; the maximizer wins and ties break to the smaller s.
+    Every candidate ``s = d_k / d'_k`` is scored by how many pairs satisfy
+    ``1/ratio_bound < d_j / (s d'_j) < ratio_bound``; the maximizer wins and
+    ties break to the smaller s. The result equals that of scoring all n²
+    pairs, bit for bit. The candidates are sorted once, the ratios well
+    inside each band are counted with ``searchsorted``, and only those
+    within ``_EDGE_MARGIN`` of a band edge are re-checked in the arithmetic
+    above, so the vote takes O(n log n) time and O(n) memory unless many
+    ratios sit that close to an edge. A candidate whose band, or whose
+    products with the triangulated depths, leave the normal floating-point
+    range, where rounding has no relative bound, is re-checked against
+    every pair.
     """
     d = np.asarray(map_depths, dtype=float).reshape(-1)
     dp = np.asarray(tri_depths, dtype=float).reshape(-1)
@@ -153,12 +169,40 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
         raise ValueError("ratio bound must exceed 1")
     if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(dp) & (dp > 0.0))):
         raise ValueError("depths must be finite and positive")
-    candidates = d / dp
-    ratios = d[None, :] / (candidates[:, None] * dp[None, :])
-    counts = np.sum((ratios > 1.0 / ratio_bound) & (ratios < ratio_bound), axis=1)
-    best_count = int(counts.max())
-    best = float(np.min(candidates[counts == best_count]))
-    return ScaleEstimate(best, best_count, best_count / d.size)
+    n = d.size
+    ratio = d / dp
+    order = np.argsort(ratio)
+    # Sorted pairs; pair j under candidate s has a ratio of about ratio[j] / s.
+    ratio, d, dp = ratio[order], d[order], dp[order]
+    s = ratio[np.append(True, ratio[1:] != ratio[:-1])]  # equal candidates score alike
+    lo, hi = s / ratio_bound, s * ratio_bound
+    lo_out, lo_in = lo * (1.0 - _EDGE_MARGIN), lo * (1.0 + _EDGE_MARGIN)
+    hi_in, hi_out = hi * (1.0 - _EDGE_MARGIN), hi * (1.0 + _EDGE_MARGIN)
+    outer_lo = np.searchsorted(ratio, lo_out, side="right")
+    inner_lo = np.searchsorted(ratio, lo_in, side="left")
+    inner_hi = np.searchsorted(ratio, hi_in, side="right")
+    outer_hi = np.searchsorted(ratio, hi_out, side="left")
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    normal = ((s * dp.min() >= tiny) & (s * dp.max() <= huge)
+              & (lo_out >= tiny) & (hi_out <= huge))
+    outer_lo[~normal], outer_hi[~normal] = 0, n
+    # An empty inner window (ratio_bound within about 2e-9 of 1, or an
+    # abnormal candidate) leaves the whole outer window to the re-check.
+    empty = ~normal | (inner_hi <= inner_lo)
+    inner_lo[empty] = inner_hi[empty] = outer_hi[empty]
+
+    # Re-check [outer_lo, inner_lo) and [inner_hi, outer_hi) of every
+    # candidate as one flat list of (candidate, pair) indices.
+    starts = np.concatenate([outer_lo, inner_hi])
+    lengths = np.concatenate([inner_lo - outer_lo, outer_hi - inner_hi])
+    cand = np.repeat(np.tile(np.arange(len(s)), 2), lengths)
+    pair = np.arange(len(cand)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    r = d[pair] / (s[cand] * dp[pair])
+    inside = (r > 1.0 / ratio_bound) & (r < ratio_bound)
+    counts = (inner_hi - inner_lo) + np.bincount(cand[inside], minlength=len(s))
+    best = int(np.argmax(counts))  # first maximum, so the smallest scale
+    best_count = int(counts[best])
+    return ScaleEstimate(float(s[best]), best_count, best_count / n)
 
 
 def build_sim3(pose: RelativePose, scale_a: ScaleEstimate, scale_b: ScaleEstimate,

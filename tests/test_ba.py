@@ -113,6 +113,15 @@ class TestBaSolve:
         assemble = ba._assemble
         calls = []
         monkeypatch.setattr(ba, "_assemble", lambda *args: calls.append(1) or assemble(*args))
+        # Reject the first step outright, so that the solve is certain to
+        # iterate once without linearizing.
+        retract, retracts = ba._retract, []
+
+        def reject_first(*args):
+            retracts.append(1)
+            return None if len(retracts) == 1 else retract(*args)
+
+        monkeypatch.setattr(ba, "_retract", reject_first)
         graph, _, _ = make_ba_graph(2, n_frames=4, n_anchors=40, match_sigma=0.5,
                                     pose_perturb_deg=3.0, pose_perturb_rel=0.03,
                                     depth_perturb_rel=0.1)

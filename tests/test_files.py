@@ -15,9 +15,10 @@ from sedslam.files import (
     write_match_file,
     write_trajectory,
 )
-from sedslam.geom import Se3Pose, Sim3Transform, so3_exp
+from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, so3_exp
 from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories
 from sedslam.synth import NoiseModel, make_two_view
+from sedslam.twoview import AnchorMatchSet
 
 
 def simple_trajectory(n=5, t0=0.0, seed=0, depths=True):
@@ -64,6 +65,15 @@ class TestMatchFile:
         with pytest.raises(MatchFileError) as exc:
             read_match_file(path)
         assert "line 3" in str(exc.value)
+
+    @pytest.mark.parametrize("values", ["256 256 nan 256", "inf 256 256 256"])
+    def test_non_finite_intrinsics_name_line(self, tmp_path, values):
+        path = tmp_path / "bad.txt"
+        path.write_text("intrinsics 1 256 256 256 256 512 512\n"
+                        f"intrinsics 0 {values} 512 512\n"
+                        "0 10 10 20 20 0.5\n")
+        with pytest.raises(MatchFileError, match="line 2: intrinsics must be finite"):
+            read_match_file(path)
 
     def test_missing_intrinsics(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -212,3 +222,38 @@ def test_write_read_and_merge_round_trip(ticks_a, ticks_b, offset, keyframes, sc
         else:
             merged = merge_trajectories(traj_a, traj_b, sim3)
             assert len(_round_trip(merged, directory)) == len(traj_a) + len(traj_b)
+
+
+# Values k / 10**9 print at 9 decimals as k * 1e-9 and parse back to the
+# same float, so a write and read must reproduce them exactly.
+def _nano(lo, hi):
+    return st.integers(int(lo * 10 ** 9), int(hi * 10 ** 9)).map(lambda k: k / 10 ** 9)
+
+
+@st.composite
+def _match_set(draw):
+    cams = [Intrinsics(draw(_nano(1.0, 2000.0)), draw(_nano(1.0, 2000.0)),
+                       draw(_nano(-500.0, 1500.0)), draw(_nano(-500.0, 1500.0)))
+            for _ in range(2)]
+    sizes = [(draw(_nano(1.0, 1000.0)), draw(_nano(1.0, 1000.0))) for _ in range(2)]
+    sides = []
+    for own, other in (sizes, sizes[::-1]):
+        rows = draw(st.lists(st.tuples(_nano(0.0, own[0]), _nano(0.0, own[1]),
+                                       _nano(0.0, other[0]), _nano(0.0, other[1]),
+                                       _nano(1e-9, 1.0)), max_size=8))
+        table = np.array(rows, dtype=float).reshape(-1, 5)
+        sides += [table[:, 0:2], table[:, 2:4], table[:, 4]]
+    return AnchorMatchSet(*sides, *cams, *sizes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mset=_match_set())
+def test_match_file_round_trip(mset):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "m.txt")
+        write_match_file(path, mset)
+        back = read_match_file(path)
+    for name in ("anchors0", "matches0", "weights0", "anchors1", "matches1", "weights1"):
+        assert np.array_equal(getattr(back, name), getattr(mset, name)), name
+    assert (back.intrinsics0, back.intrinsics1) == (mset.intrinsics0, mset.intrinsics1)
+    assert (back.size0, back.size1) == (mset.size0, mset.size1)

@@ -279,3 +279,10 @@ class TestNonFiniteInput:
         {"rotation": rot, "translation": t}[field].flat[-1] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             build(rot, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_intrinsics_rejected_at_construction(self, field, bad):
+        values = {"fx": 256.0, "fy": 256.0, "cx": 256.0, "cy": 256.0, field: bad}
+        with pytest.raises(ValueError, match="intrinsics must be finite"):
+            Intrinsics(**values)

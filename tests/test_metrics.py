@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import associate_all_pairs
 
 from sedslam.errors import AssociationError
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, so3_exp
@@ -187,3 +190,29 @@ class TestAteRmse:
     def test_association_window(self):
         matches = associate_timestamps([0.0, 1.0, 2.0], [0.015, 1.5, 2.019])
         assert matches == [(0, 0), (2, 2)]
+
+    def test_association_window_survives_rounding_of_its_edges(self):
+        # abs(a - b) equals max_dt here, but a - max_dt rounds above b.
+        a, b, max_dt = 0.007805487040095847, 0.001573615593235422, 0.0062318714468604245
+        assert abs(a - b) <= max_dt
+        assert associate_timestamps([a], [b], max_dt) == [(0, 0)]
+
+
+# Stamps on a 1/64 s grid subtract exactly, so differences tie and can equal
+# the window; a 1e-14 s jitter puts some just outside it, and the Unix-time
+# origin makes the stamps large against the window.
+_STAMPS = st.lists(st.integers(0, 40), max_size=25)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ticks_a=_STAMPS, ticks_b=_STAMPS,
+       origin=st.sampled_from([0.0, -3.0, 1.6e9]),
+       window=st.sampled_from([0, 1, 2, 3]),
+       jitter=st.lists(st.sampled_from([0.0, 1e-14, -1e-14, 1e-7, 0.001]),
+                       min_size=25, max_size=25))
+@example(ticks_a=[3, 1, 2], ticks_b=[2, 0, 4], origin=0.0, window=1, jitter=[0.0] * 25)
+def test_association_equals_all_pairs(ticks_a, ticks_b, origin, window, jitter):
+    ts_a = origin + np.array(ticks_a) / 64.0
+    ts_b = origin + np.array(ticks_b) / 64.0 + np.array(jitter[:len(ticks_b)])
+    max_dt = window / 64.0
+    assert associate_timestamps(ts_a, ts_b, max_dt) == associate_all_pairs(ts_a, ts_b, max_dt)

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_scale
 
 from sedslam.errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_angle, so3_exp
@@ -175,6 +180,63 @@ class TestEstimateScale:
                     best_count, best_s = count, s
             assert est.scale == best_s
             assert est.inlier_count == best_count
+
+    def test_abnormal_magnitudes_match_brute_force(self):
+        # Products of depths and candidate scales that underflow or overflow
+        # round without a relative bound, so no band margin covers them.
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            d = np.maximum(10.0 ** rng.uniform(-320.0, 300.0, size=n), 5e-324)
+            dp = np.maximum(10.0 ** rng.uniform(-320.0, 300.0, size=n), 5e-324)
+            for ratio_bound in (1.0 + 2.0 ** -52, 1.05, 1e300):
+                with np.errstate(divide="ignore", over="ignore"):
+                    try:
+                        expected = brute_force_scale(d, dp, ratio_bound)
+                    except ValueError:  # the winner underflowed to scale 0
+                        with pytest.raises(ValueError, match="scale must be positive"):
+                            estimate_scale(d, dp, ratio_bound)
+                        continue
+                    assert estimate_scale(d, dp, ratio_bound) == expected
+
+    def test_memory_stays_linear_at_100k_depths(self):
+        rng = np.random.default_rng(14)
+        n = 100_000
+        dp = rng.uniform(0.3, 6.0, size=n)
+        d = 2.0 * dp * rng.lognormal(0.0, 0.03, size=n)
+        d[: n // 10] = rng.uniform(0.1, 10.0, size=n // 10) * dp[: n // 10]
+        tracemalloc.start()
+        try:
+            est = estimate_scale(d, dp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Scoring every pair would take n² float64 ratios, about 80 GB.
+        assert peak < 64 * 2 ** 20
+        assert 2.0 / 1.05 < est.scale < 2.0 * 1.05
+
+
+@st.composite
+def _vote_inputs(draw):
+    ratio_bound = draw(st.sampled_from([1.0 + 1e-12, 1.05, 2.0]))
+    base = draw(st.floats(0.1, 10.0))
+    # Ratios base * ratio_bound**k lie on each other's band edges.
+    on_edge = st.integers(-3, 3).map(lambda k: base * ratio_bound ** k)
+    pool = draw(st.lists(st.tuples(st.one_of(on_edge, st.floats(0.1, 10.0)),
+                                   st.floats(0.3, 6.0)), min_size=1, max_size=12))
+    # Drawing pairs from a small pool repeats ratios and ties counts.
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    dp = np.array([t for _, t in pairs])
+    return np.array([r for r, _ in pairs]) * dp, dp, ratio_bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=_vote_inputs())
+@example(inputs=(np.array([4.2]), np.array([2.1]), 1.0 + 1e-12))
+@example(inputs=(np.array([1.0, 1.05, 1.05 ** 2]), np.ones(3), 1.05))
+def test_vote_equals_brute_force(inputs):
+    d, dp, ratio_bound = inputs
+    assert estimate_scale(d, dp, ratio_bound) == brute_force_scale(d, dp, ratio_bound)
 
 
 class TestBuildSim3:
