@@ -20,13 +20,21 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
+from itertools import chain, compress, islice
 
 import numpy as np
 
 from .errors import MatchFileError, TrajectoryFileError
 from .geom import Intrinsics, Se3Pose, quat_from_rotation, rotation_from_quat
 from .sim3 import TIMESTAMP_DECIMALS, Keyframe, Trajectory, timestamp_key
-from .twoview import AnchorMatchSet
+from .twoview import AnchorMatchSet, _as_size
+
+# Lines the trajectory and sidecar readers take from a file at a time.
+_BLOCK_LINES = 1024
+# Stored anchor ids from here up stand for ids that can never be valid
+# (negative ones, and ones beyond int64), so that every stored id fits int64.
+_ODD_ID = 2 ** 62
 
 
 def write_match_file(path, mset: AnchorMatchSet) -> None:
@@ -64,9 +72,9 @@ def read_match_file(path) -> AnchorMatchSet:
                     raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
                 try:
                     intr[fid] = Intrinsics(*vals[:4])
+                    sizes[fid] = _as_size(vals[4:])
                 except ValueError as exc:
                     raise MatchFileError(f"line {lineno}: {exc}") from exc
-                sizes[fid] = (vals[4], vals[5])
                 continue
             if len(parts) != 6:
                 raise MatchFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
@@ -122,78 +130,185 @@ def write_depth_sidecar(path, traj: Trajectory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _blocks(fh):
+    """The data lines of ``fh``, stripped, as (line numbers, lines) blocks.
+
+    At most ``_BLOCK_LINES`` lines are read at a time. Blank lines and lines
+    whose stripped text starts with ``#`` are dropped.
+    """
+    first = 1
+    while lines := list(islice(fh, _BLOCK_LINES)):
+        stripped = list(map(str.strip, lines))
+        keep = [s != "" and s[0] != "#" for s in stripped]
+        numbers = range(first, first + len(lines))
+        first += len(lines)
+        if all(keep):
+            yield numbers, stripped
+        elif any(keep):
+            yield list(compress(numbers, keep)), list(compress(stripped, keep))
+
+
+def _fields(lines, n):
+    """The fields of ``lines``, row after row, or None if their number is
+    not ``n`` per line.
+
+    The block is split at once, with a ``#`` token between lines. If a line
+    has another number of fields, the total is off or some ``#`` lands on a
+    field position; callers convert every field with ``float`` or ``int``,
+    which reject ``#``.
+    """
+    tokens = " # ".join(lines).split()
+    if len(tokens) != (n + 1) * len(lines) - 1:
+        return None
+    del tokens[n::n + 1]
+    return tokens
+
+
+def _first_defect(convert, lines):
+    """Index and error of the first line that ``convert`` rejects on its own."""
+    for k, line in enumerate(lines):
+        try:
+            convert([line])
+        except ValueError as exc:
+            return k, exc
+    raise AssertionError("a block was rejected but none of its lines is")
+
+
+def _sidecar_columns(lines, groups: dict, odd: dict):
+    """(group numbers, anchor ids, depths) of sidecar lines.
+
+    Each timestamp key gets its group number in ``groups``, in order of
+    first appearance; ``float``, ``int`` and ``timestamp_key`` run once per
+    distinct token. An id outside [0, _ODD_ID) is stored as ``_ODD_ID`` plus
+    its index in ``odd``: stored ids are equal exactly when the ids are, and
+    all of these fail the contiguity check. Raises ``ValueError`` if any
+    line has a defect of its own, with the message of the first for a
+    single line.
+    """
+    tokens = _fields(lines, 3)
+    if tokens is None:
+        raise ValueError("expected 3 fields")
+    stamps, ids = tokens[0::3], tokens[1::3]
+    keys = {t: timestamp_key(float(t)) for t in dict.fromkeys(stamps)}
+    id_of = {t: int(t) for t in dict.fromkeys(ids)}
+    depths = np.fromiter(map(float, tokens[2::3]), float, len(lines))
+    if not np.all((depths > 0.0) & (depths < math.inf)):
+        raise ValueError("depth must be finite and positive")
+    if not all(map(math.isfinite, keys.values())):
+        raise ValueError("timestamp must be finite")
+    group_of = {t: groups.setdefault(k, len(groups)) for t, k in keys.items()}
+    for t, i in id_of.items():
+        if not 0 <= i < _ODD_ID:
+            id_of[t] = _ODD_ID + odd.setdefault(i, len(odd))
+    return (np.fromiter(map(group_of.__getitem__, stamps), np.intp, len(lines)),
+            np.fromiter(map(id_of.__getitem__, ids), np.int64, len(lines)), depths)
+
+
+def _order_rows(group, ids, numbers, odd: dict) -> np.ndarray:
+    """Row order by (group, anchor id); raises for the first line whose
+    (timestamp key, anchor id) an earlier line already has. ``numbers``
+    holds the line numbers of each block."""
+    order = np.lexsort((ids, group))  # stable, so repeats stay in file order
+    g, i = group[order], ids[order]
+    repeat = (g[1:] == g[:-1]) & (i[1:] == i[:-1])
+    if repeat.any():
+        row = order[1:][repeat].min()
+        idx = int(ids[row])
+        if idx >= _ODD_ID:
+            idx = list(odd)[idx - _ODD_ID]
+        line = next(islice(chain.from_iterable(numbers), row, None))
+        raise TrajectoryFileError(f"line {line}: duplicate anchor id {idx}")
+    return order
+
+
 def read_depth_sidecar(path) -> dict:
-    per_ts: dict[float, dict[int, float]] = {}
+    """Depth arrays by timestamp key, in order of first appearance.
+
+    Reads the file in blocks and checks each block as a whole. When a check
+    fails, the error is that of the first defective line in file order.
+    """
+    groups: dict[float, int] = {}
+    odd: dict[int, int] = {}
+    convert = partial(_sidecar_columns, groups=groups, odd=odd)
+    blocks, numbers = [], []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise TrajectoryFileError(f"line {lineno}: expected 3 fields")
+        for block_numbers, lines in _blocks(fh):
             try:
-                ts = float(parts[0])
-                idx = int(parts[1])
-                depth = float(parts[2])
-            except ValueError as exc:
-                raise TrajectoryFileError(f"line {lineno}: {exc}") from exc
-            if not 0.0 < depth < math.inf:
-                raise TrajectoryFileError(f"line {lineno}: depth must be finite and positive")
-            key = timestamp_key(ts)
-            entries = per_ts.get(key)
-            if entries is None:
-                if not math.isfinite(ts):
-                    raise TrajectoryFileError(f"line {lineno}: timestamp must be finite")
-                entries = per_ts[key] = {}
-            if idx in entries:
-                raise TrajectoryFileError(f"line {lineno}: duplicate anchor id {idx}")
-            entries[idx] = depth
-    out = {}
-    for ts, entries in per_ts.items():
-        ids = sorted(entries)
-        if ids != list(range(len(ids))):
-            raise TrajectoryFileError(
-                f"anchor ids for timestamp {ts} must be contiguous from 0")
-        out[ts] = np.array([entries[i] for i in ids])
-    return out
+                blocks.append(convert(lines))
+            except ValueError:
+                k, exc = _first_defect(convert, lines)
+                if k:
+                    blocks.append(convert(lines[:k]))
+                    numbers.append(block_numbers[:k])
+                if blocks:
+                    group, ids, _ = map(np.concatenate, zip(*blocks))
+                    _order_rows(group, ids, numbers, odd)
+                raise TrajectoryFileError(f"line {block_numbers[k]}: {exc}") from exc
+            numbers.append(block_numbers)
+    if not blocks:
+        return {}
+    group, ids, depths = map(np.concatenate, zip(*blocks))
+    del blocks
+    order = _order_rows(group, ids, numbers, odd)
+    counts = np.bincount(group, minlength=len(groups))
+    first = np.cumsum(counts) - counts
+    bad = ids[order] != np.arange(len(order)) - np.repeat(first, counts)
+    if bad.any():
+        key = list(groups)[group[order[np.argmax(bad)]]]
+        raise TrajectoryFileError(f"anchor ids for timestamp {key} must be contiguous from 0")
+    return dict(zip(groups, np.split(depths[order], first[1:])))
+
+
+def _pose_values(lines) -> np.ndarray:
+    """(n, 8) values of trajectory lines. Raises ``ValueError`` if any line
+    has a defect of its own, with the message of the first for a single line."""
+    tokens = _fields(lines, 8)
+    if tokens is None:
+        raise ValueError(f"expected 8 fields, got {len(lines[0].split())}")
+    values = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 8)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    qx, qy, qz, qw = values[:, 4:].T
+    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    off = np.abs(norm - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"quaternion norm {norm[off][0]} is not 1")
+    return values
 
 
 def read_trajectory(path, depth_path=None) -> Trajectory:
+    """TUM trajectory with the depths of its optional sidecar.
+
+    Reads the file in blocks and checks each block as a whole. When a check
+    fails, the error is that of the first defective line in file order.
+    """
     depths = read_depth_sidecar(depth_path) if depth_path else {}
-    keyframes = []
+    blocks = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise TrajectoryFileError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        for numbers, lines in _blocks(fh):
             try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise TrajectoryFileError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, vals)):
-                raise TrajectoryFileError(f"line {lineno}: non-finite value")
-            ts, tx, ty, tz, qx, qy, qz, qw = vals
-            qn = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-            if abs(qn - 1.0) > 1e-6:
-                raise TrajectoryFileError(f"line {lineno}: quaternion norm {qn} is not 1")
-            pose = Se3Pose(rotation_from_quat((qx, qy, qz, qw)), (tx, ty, tz))
-            keyframes.append(Keyframe(ts, pose, depths.pop(timestamp_key(ts), np.zeros(0))))
-    if not keyframes:
+                blocks.append(_pose_values(lines))
+            except ValueError:
+                k, exc = _first_defect(_pose_values, lines)
+                raise TrajectoryFileError(f"line {numbers[k]}: {exc}") from exc
+    if not blocks:
         raise TrajectoryFileError("trajectory file holds no poses")
-    if depths:
-        first = next(iter(depths))
+    values = np.concatenate(blocks)
+    stamps = values[:, 0].tolist()
+    keys = [timestamp_key(t) for t in stamps]
+    posed = set(keys)
+    orphans = [k for k in depths if k not in posed]
+    if orphans:
         raise TrajectoryFileError(
-            f"{sum(len(d) for d in depths.values())} depth-sidecar rows match no pose "
-            f"timestamp (first: {first:.{TIMESTAMP_DECIMALS}f})")
-    stamps = [timestamp_key(kf.timestamp) for kf in keyframes]
-    if any(b <= a for a, b in zip(stamps, stamps[1:])):
+            f"{sum(len(depths[k]) for k in orphans)} depth-sidecar rows match no pose "
+            f"timestamp (first: {orphans[0]:.{TIMESTAMP_DECIMALS}f})")
+    if any(b <= a for a, b in zip(keys, keys[1:])):
         raise TrajectoryFileError(
             f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
-    return Trajectory(tuple(keyframes))
+    no_depths = np.zeros(0)
+    return Trajectory(tuple(
+        Keyframe(t, Se3Pose(rot, p), depths.get(k, no_depths))
+        for t, k, rot, p in zip(stamps, keys, rotation_from_quat(values[:, 4:]), values[:, 1:4])))
 
 
 def sim3_to_dict(sim3) -> dict:

@@ -106,26 +106,34 @@ def quat_from_rotation(rot) -> np.ndarray:
 
 
 def rotation_from_quat(q) -> np.ndarray:
-    """Rotation matrix of a quaternion given as (qx, qy, qz, qw)."""
-    x, y, z, w = np.asarray(q, dtype=float)
+    """Rotation matrix of a quaternion given as (qx, qy, qz, qw); an (..., 4)
+    array of quaternions gives an (..., 3, 3) array of matrices."""
+    x, y, z, w = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     n = np.sqrt(x * x + y * y + z * z + w * w)
     x, y, z, w = x / n, y / n, z / n, w / n
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)], -1),
+        np.stack([2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)], -1),
+        np.stack([2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
 
 
 def _as_rotation(rot) -> np.ndarray:
     rot = np.array(rot, dtype=float)
     if rot.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-    if not all(map(math.isfinite, rot.ravel().tolist())):
+    entries = rot.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValueError("rotation must be finite")
-    if np.max(np.abs(rot @ rot.T - np.eye(3))) > _ORTHO_TOL:
+    a, b, c, d, e, f, g, h, i = entries
+    # Entries of R Rᵀ - I, diagonal first: an off-diagonal NaN (inf - inf)
+    # needs an entry whose row already has an infinite squared norm.
+    gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0,
+            g * g + h * h + i * i - 1.0, a * d + b * e + c * f, a * g + b * h + c * i,
+            d * g + e * h + f * i)
+    if max(map(abs, gram)) > _ORTHO_TOL:
         raise ValueError("rotation matrix is not orthonormal")
-    if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > _ORTHO_TOL:
         raise ValueError("rotation matrix must have det +1")
     rot.flags.writeable = False
     return rot

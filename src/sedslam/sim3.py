@@ -159,7 +159,7 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
     ratios sit that close to an edge. A candidate whose band, or whose
     products with the triangulated depths, leave the normal floating-point
     range, where rounding has no relative bound, is re-checked against
-    every pair.
+    every pair. A depth pair whose ratio leaves that range is rejected.
     """
     d = np.asarray(map_depths, dtype=float).reshape(-1)
     dp = np.asarray(tri_depths, dtype=float).reshape(-1)
@@ -170,7 +170,14 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
     if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(dp) & (dp > 0.0))):
         raise ValueError("depths must be finite and positive")
     n = d.size
-    ratio = d / dp
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = d / dp
+    outside = ~((ratio >= tiny) & (ratio <= huge))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"map depth {float(d[k])!r} over triangulated depth {float(dp[k])!r} "
+                         "gives a ratio outside the normal floating-point range")
     order = np.argsort(ratio)
     # Sorted pairs; pair j under candidate s has a ratio of about ratio[j] / s.
     ratio, d, dp = ratio[order], d[order], dp[order]
@@ -182,7 +189,6 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
     inner_lo = np.searchsorted(ratio, lo_in, side="left")
     inner_hi = np.searchsorted(ratio, hi_in, side="right")
     outer_hi = np.searchsorted(ratio, hi_out, side="left")
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     normal = ((s * dp.min() >= tiny) & (s * dp.max() <= huge)
               & (lo_out >= tiny) & (hi_out <= huge))
     outer_lo[~normal], outer_hi[~normal] = 0, n

@@ -15,6 +15,7 @@ are clamped onto their epipolar lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,14 +52,21 @@ def _as_points(a, name) -> np.ndarray:
     return a
 
 
+def _as_size(size) -> tuple[float, float]:
+    width, height = float(size[0]), float(size[1])
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ValueError("image size must be finite and positive")
+    return width, height
+
+
 @dataclass(frozen=True, eq=False)
 class AnchorMatchSet:
     """Bi-directional anchor points, matches and confidence weights.
 
     Frame-0 anchors have their matches in frame 1 and vice versa. Weights
     live in [0, 1]; only strictly positive weights count toward solvability.
-    ``size0``/``size1`` are the (width, height) image bounds used by the
-    [-1, 1] normalization of the 8-point stage.
+    ``size0``/``size1`` are the (width, height) image bounds, finite and
+    positive, used by the [-1, 1] normalization of the 8-point stage.
     """
 
     anchors0: np.ndarray
@@ -85,8 +93,8 @@ class AnchorMatchSet:
             object.__setattr__(self, name, w)
         if self.matches0.shape != self.anchors0.shape or self.matches1.shape != self.anchors1.shape:
             raise ValueError("every anchor needs exactly one match")
-        object.__setattr__(self, "size0", (float(self.size0[0]), float(self.size0[1])))
-        object.__setattr__(self, "size1", (float(self.size1[0]), float(self.size1[1])))
+        object.__setattr__(self, "size0", _as_size(self.size0))
+        object.__setattr__(self, "size1", _as_size(self.size1))
 
     @property
     def n_total(self) -> int:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sedslam.geom import Intrinsics, RelativePose
+
+# Every property test runs the same examples on every run, with no time
+# limit per example and no example database; tests set only max_examples.
+settings.register_profile("sedslam", deadline=None, derandomize=True, database=None)
+settings.load_profile("sedslam")
 
 
 def lookat_rotation(center, target, up=(0.0, 1.0, 0.0)):

@@ -1,10 +1,12 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_depth_sidecar_lines, read_trajectory_lines
 
 from sedslam.errors import MatchFileError, TimestampCollisionError, TrajectoryFileError
 from sedslam.files import (
@@ -15,7 +17,7 @@ from sedslam.files import (
     write_match_file,
     write_trajectory,
 )
-from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, so3_exp
+from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, quat_from_rotation, so3_exp
 from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories
 from sedslam.synth import NoiseModel, make_two_view
 from sedslam.twoview import AnchorMatchSet
@@ -74,6 +76,16 @@ class TestMatchFile:
                         "0 10 10 20 20 0.5\n")
         with pytest.raises(MatchFileError, match="line 2: intrinsics must be finite"):
             read_match_file(path)
+
+    @pytest.mark.parametrize("size", ["inf 512", "512 nan", "0 512", "512 -5"])
+    def test_image_size_must_be_finite_and_positive(self, tmp_path, size):
+        path = tmp_path / "bad.txt"
+        path.write_text("intrinsics 0 256 256 256 256 512 512\n"
+                        f"intrinsics 1 256 256 256 256 {size}\n"
+                        "0 10 10 20 20 0.5\n")
+        with pytest.raises(MatchFileError) as exc:
+            read_match_file(path)
+        assert str(exc.value) == "line 2: image size must be finite and positive"
 
     def test_missing_intrinsics(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -134,6 +146,42 @@ class TestTrajectoryFile:
         with pytest.raises(TrajectoryFileError, match="line 2: non-finite"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.0 0 0 0 0 0 1", "expected 8 fields, got 7"),
+        ("1.0 0 0 0 0 0 0 1 0", "expected 8 fields, got 9"),
+        ("1.0 0 0 x 0 0 0 1", "could not convert string to float: 'x'"),
+        ("1.0 0 0 0 0 0 0 0x1", "could not convert string to float: '0x1'"),
+        ("1.0 0 0 0 0 0 0 2", "quaternion norm 2.0 is not 1"),
+        ("1.0 0 0 0 0 0 0 0", "quaternion norm 0.0 is not 1"),
+    ])
+    def test_line_defect_message(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n0.5 0 0 0 0 0 0 1\n" + row + "\n")
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_trajectory(path)
+        assert str(exc.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (1000, 1030), (1100, 1900)])
+    def test_reports_the_earlier_of_two_defects(self, tmp_path, first, second):
+        lines = [f"{i}.0 0 0 0 0 0 0 1" for i in range(2000)]
+        lines[first - 1] = f"{first}.0 0 0 0 0 0 0 2"
+        lines[second - 1] = f"{second}.0 0 nan 0 0 0 0 1"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFileError, match=f"^line {first}: quaternion norm 2.0 "):
+            read_trajectory(path)
+        lines[first - 1] = f"{first}.0 0 0 0 0 0 1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFileError, match=f"^line {first}: expected 8 fields"):
+            read_trajectory(path)
+
+    def test_non_increasing_at_file_precision(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0000001 0 0 0 0 0 0 1\n1.0000002 0 0 0 0 0 0 1\n")
+        with pytest.raises(TrajectoryFileError,
+                           match="^timestamps must be strictly increasing at 6 decimals$"):
+            read_trajectory(path)
+
     def test_orphan_sidecar_rows_raise(self, tmp_path):
         tp = tmp_path / "t.txt"
         dp = tmp_path / "t.depths"
@@ -149,19 +197,21 @@ class TestDepthSidecar:
     def test_duplicate_anchor_id(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0.0 0 1.0\n0.0 0 2.0\n")
-        with pytest.raises(TrajectoryFileError):
+        with pytest.raises(TrajectoryFileError, match="^line 2: duplicate anchor id 0$"):
             read_depth_sidecar(path)
 
     def test_non_contiguous_ids(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0.0 0 1.0\n0.0 2 2.0\n")
-        with pytest.raises(TrajectoryFileError):
+        with pytest.raises(TrajectoryFileError,
+                           match="^anchor ids for timestamp 0.0 must be contiguous from 0$"):
             read_depth_sidecar(path)
 
     def test_non_positive_depth(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0.0 0 -1.0\n")
-        with pytest.raises(TrajectoryFileError):
+        with pytest.raises(TrajectoryFileError,
+                           match="^line 1: depth must be finite and positive$"):
             read_depth_sidecar(path)
 
     @pytest.mark.parametrize("row", ["0.0 1 nan", "0.0 1 inf", "nan 0 1.0", "-inf 0 1.0"])
@@ -170,6 +220,230 @@ class TestDepthSidecar:
         path.write_text("0.0 0 1.0\n" + row + "\n")
         with pytest.raises(TrajectoryFileError, match="line 2: .* must be finite"):
             read_depth_sidecar(path)
+
+    @pytest.mark.parametrize("row", ["0.0 1", "0.0 1 2.0 3.0", "0.0 1 2.0 # note"])
+    def test_wrong_field_count(self, tmp_path, row):
+        path = tmp_path / "d.txt"
+        path.write_text("0.0 0 1.0\n" + row + "\n")
+        with pytest.raises(TrajectoryFileError, match="^line 2: expected 3 fields$"):
+            read_depth_sidecar(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.0 1.0 2.0", "invalid literal for int() with base 10: '1.0'"),
+        ("0.0 x 2.0", "invalid literal for int() with base 10: 'x'"),
+        ("t0 1 2.0", "could not convert string to float: 't0'"),
+        ("0.0 1 2,5", "could not convert string to float: '2,5'"),
+        ("t0 x 2,5", "could not convert string to float: 't0'"),
+    ])
+    def test_unparsable_token(self, tmp_path, row, message):
+        path = tmp_path / "d.txt"
+        path.write_text("0.0 0 1.0\n" + row + "\n")
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_depth_sidecar(path)
+        assert str(exc.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.0 -1 1.0\n0.0 99999999999999999999 2.0\n0.0 -1 3.0\n",
+         "line 3: duplicate anchor id -1"),
+        ("0.0 99999999999999999999 1.0\n0.0 -1 2.0\n0.0 99999999999999999999 3.0\n",
+         "line 3: duplicate anchor id 99999999999999999999"),
+        ("0.0 0 1.0\n0.0 -2 2.0\n0.0 1 3.0\n",
+         "anchor ids for timestamp 0.0 must be contiguous from 0"),
+        ("0.0 0 1.0\n0.5 0 1.0\n0.5 -9223372036854775809 2.0\n",
+         "anchor ids for timestamp 0.5 must be contiguous from 0"),
+    ])
+    def test_negative_or_huge_anchor_ids(self, tmp_path, text, message):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_depth_sidecar(path)
+        assert str(exc.value) == message
+
+    def test_stamps_equal_at_file_precision_share_a_key(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1.0000001 0 1.5\n1.0000002 1 2.5\n")
+        depths = read_depth_sidecar(path)
+        assert list(depths) == [1.0]
+        assert depths[1.0].tolist() == [1.5, 2.5]
+        path.write_text("1.0000001 0 1.5\n1.0000002 0 2.5\n")
+        with pytest.raises(TrajectoryFileError, match="^line 2: duplicate anchor id 0$"):
+            read_depth_sidecar(path)
+
+    def test_keys_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("# timestamp anchor_id depth\n\n2.0 1 4.0\n1.0 0 3.0\n"
+                        "  # indented comment\n2.0 0 5.0\n")
+        depths = read_depth_sidecar(path)
+        assert list(depths) == [2.0, 1.0]
+        assert depths[2.0].tolist() == [5.0, 4.0]
+        assert depths[1.0].tolist() == [3.0]
+
+
+# Two defects in one file: the one on the earlier line is reported. Rows
+# hold 8 anchors per timestamp; the 1,024-line block boundary lies between
+# or beside some of the pairs of lines.
+_ROWS = [f"{i // 8}.5 {i % 8} 2.0" for i in range(2000)]
+_DEFECTS = {
+    "dup": lambda n: (_ROWS[n - 2], f"duplicate anchor id {(n - 2) % 8}"),
+    "junk": lambda n: ("1.5 one 2.0", "invalid literal for int() with base 10: 'one'"),
+    "depth": lambda n: (f"{n}.25 0 0.0", "depth must be finite and positive"),
+    "count": lambda n: (f"{n}.25 0", "expected 3 fields"),
+    "stamp": lambda n: ("inf 0 2.0", "timestamp must be finite"),
+}
+
+
+@pytest.mark.parametrize("first, second", [(2, 3), (900, 1100), (1030, 1500), (1024, 1025)])
+@pytest.mark.parametrize("kinds", [("dup", "junk"), ("junk", "dup"), ("depth", "count"),
+                                   ("count", "dup"), ("stamp", "depth")])
+def test_sidecar_reports_the_earlier_of_two_defects(tmp_path, first, second, kinds):
+    lines = list(_ROWS)
+    messages = []
+    for number, kind in zip((first, second), kinds):
+        lines[number - 1], message = _DEFECTS[kind](number)
+        messages.append(message)
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_depth_sidecar(path)
+    assert str(exc.value) == f"line {first}: {messages[0]}"
+
+
+def test_sidecar_memory_is_bounded_by_a_block(tmp_path):
+    path = tmp_path / "big.depths"
+    with open(path, "w") as fh:
+        fh.write("# timestamp anchor_id depth\n")
+        fh.writelines(f"{100 + 0.1 * (i // 96):.6f} {i % 96} {1.0 + 0.01 * (i % 977):.9f}\n"
+                      for i in range(100_000))
+    tracemalloc.start()
+    try:
+        depths = read_depth_sidecar(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(d) for d in depths.values()) == 100_000
+    # The file is 3.4 MB; its rows as Python objects would take about 30 MB.
+    assert peak < 12e6
+
+
+# Generated sidecar and trajectory text: valid files with a few injected
+# defects, comment, blank and whitespace-only lines, and CRLF line endings.
+# The block readers must raise what the line-by-line readers raise, or
+# return bit-identical keyframes.
+_STAMPS = ["0.5", "1.0000001", "1.0000002", "2.25", "-0.0", "0.0", "1e1", "10.0", "3.5"]
+_DEPTHS = ["1.5", "0.25", "3", "2e-3", "7.000000001", "+4.5"]
+_JUNK = ["x", "1.0", "nan", "inf", "-inf", "0", "-1", "1e400", "99999999999999999999",
+         "+2", "1_0", "#", "0x1", "-0.0", "1.0000003"]
+_FILLER = ["#", "# note", "", " \t", "  # indented"]
+
+
+@st.composite
+def _text(draw, rows):
+    """``rows`` (lists of fields) as file text, after up to four edits."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["junk", "junk", "junk", "drop", "extra", "copy",
+                                     "delete", "swap", "filler", "filler"]))
+        k = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if kind == "filler" or not rows:
+            rows.insert(k, [draw(st.sampled_from(_FILLER))])
+        elif kind == "junk" and rows[k]:
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(_JUNK))
+        elif kind in ("junk", "extra"):
+            rows[k].append(draw(st.sampled_from(_JUNK)))
+        elif kind == "drop":
+            del rows[k][-1:]
+        elif kind == "copy":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
+        elif kind == "delete":
+            del rows[k]
+        else:
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[k], rows[j] = rows[j], rows[k]
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def _sidecar(draw, stamps):
+    rows = []
+    for stamp in stamps:
+        rows += [[stamp, str(i), draw(st.sampled_from(_DEPTHS))]
+                 for i in range(draw(st.integers(0, 4)))]
+    return draw(_text(draw(st.permutations(rows))))
+
+
+_QUATS = ["0 0 0 1", "0 0 0 1.0000005", "0.5 0.5 0.5 0.5", "-0.5 0.5 -0.5 0.5"]
+
+
+@st.composite
+def _trajectory_text(draw, stamps):
+    rows = []
+    for stamp in stamps:
+        t = [f"{v:.9f}" for v in draw(st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))]
+        w = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+        q = draw(st.sampled_from(_QUATS + [" ".join(f"{v:.9f}" for v in
+                                                    quat_from_rotation(so3_exp(w)))]))
+        rows.append([stamp, *t, *q.split()])
+    return draw(_text(rows))
+
+
+def _outcome(read, *paths):
+    try:
+        return read(*paths)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc)
+
+
+def _write(directory, name, text):
+    path = os.path.join(directory, name)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_sidecar_reader_equals_line_reader(data):
+    stamps = data.draw(st.lists(st.sampled_from(_STAMPS), max_size=4, unique=True))
+    text = data.draw(_sidecar(stamps))
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, "d.txt", text)
+        got = _outcome(read_depth_sidecar, path)
+        expected = _outcome(read_depth_sidecar_lines, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert [repr(k) for k in got] == [repr(k) for k in expected]
+        for key in expected:
+            assert got[key].dtype == expected[key].dtype
+            assert np.array_equal(got[key], expected[key])
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_trajectory_reader_equals_line_reader(data):
+    stamps = sorted(data.draw(st.lists(st.sampled_from(_STAMPS + ["5.75", "7.0"]),
+                                       min_size=1, max_size=5, unique=True)), key=float)
+    traj_text = data.draw(_trajectory_text(stamps))
+    side_stamps = data.draw(st.lists(st.sampled_from(stamps + ["6.125"]), max_size=3,
+                                     unique=True))
+    side_text = data.draw(st.none() | _sidecar(side_stamps))
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [_write(directory, "t.txt", traj_text)]
+        if side_text is not None:
+            paths.append(_write(directory, "t.depths", side_text))
+        got = _outcome(read_trajectory, *paths)
+        expected = _outcome(read_trajectory_lines, *paths)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert len(got) == len(expected)
+    for a, b in zip(got.keyframes, expected.keyframes):
+        assert type(a.timestamp) is type(b.timestamp) and a.timestamp == b.timestamp
+        assert np.array_equal(a.pose.rotation, b.pose.rotation)
+        assert np.array_equal(a.pose.translation, b.pose.translation)
+        assert np.array_equal(a.depths, b.depths) and a.depths.dtype == b.depths.dtype
 
 
 # A keyframe's rotation vector, translation and depths. Timestamps lie on a
@@ -201,7 +475,7 @@ def _round_trip(traj, directory):
     return back
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(ticks_a=st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
        ticks_b=st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True),
        offset=st.sampled_from([0.125, 1e-7, 4e-7, 6e-7, 2e-6]),
@@ -246,7 +520,7 @@ def _match_set(draw):
     return AnchorMatchSet(*sides, *cams, *sizes)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(mset=_match_set())
 def test_match_file_round_trip(mset):
     with tempfile.TemporaryDirectory() as directory:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import rotation_from_quat_scalar, rotation_rejection
 
 from sedslam.errors import BehindCameraError, DegenerateLineError, ParallelRaysError
 from sedslam.geom import (
@@ -262,6 +265,49 @@ class TestPoseTypes:
         for _ in range(100):
             r = so3_exp(rng.normal(size=3))
             assert np.max(np.abs(rotation_from_quat(quat_from_rotation(r)) - r)) < 1e-12
+
+
+    def test_batched_quaternions_equal_one_at_a_time(self):
+        rng = np.random.default_rng(10)
+        q = rng.normal(size=(2, 5, 4))
+        rot = rotation_from_quat(q)
+        assert rot.shape == (2, 5, 3, 3)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(rot[idx], rotation_from_quat_scalar(q[idx]))
+            assert np.array_equal(rotation_from_quat(q[idx]), rot[idx])
+
+
+# Rotations perturbed entrywise by up to 0.5e-9 or 2e-9, about the
+# tolerance of the check; some rows negated to make det -1.
+@settings(max_examples=300)
+@given(w=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       noise=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       eps=st.sampled_from([0.5e-9, 2e-9]), flip=st.booleans())
+def test_rotation_check_equals_numpy_form(w, noise, eps, flip):
+    rot = so3_exp(w) + eps * np.reshape(noise, (3, 3))
+    if flip:
+        rot[0] = -rot[0]
+    try:
+        Se3Pose(rot, np.zeros(3))
+        rejection = None
+    except ValueError as exc:
+        rejection = str(exc)
+    assert rejection == rotation_rejection(rot)
+
+
+@pytest.mark.parametrize("eps, expected", [
+    (0.0, None), (0.4e-9, None), (0.6e-9, "rotation matrix is not orthonormal"),
+    (2e-9, "rotation matrix is not orthonormal")])
+def test_rotation_check_tolerance(eps, expected):
+    # A diagonal entry of 1 + eps puts 2 eps + eps² on the diagonal of R Rᵀ - I.
+    rot = np.eye(3)
+    rot[1, 1] += eps
+    assert rotation_rejection(rot) == expected
+    if expected is None:
+        Se3Pose(rot, np.zeros(3))
+    else:
+        with pytest.raises(ValueError, match=expected):
+            Se3Pose(rot, np.zeros(3))
 
 
 class TestNonFiniteInput:

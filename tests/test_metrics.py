@@ -204,7 +204,7 @@ class TestAteRmse:
 _STAMPS = st.lists(st.integers(0, 40), max_size=25)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(ticks_a=_STAMPS, ticks_b=_STAMPS,
        origin=st.sampled_from([0.0, -3.0, 1.6e9]),
        window=st.sampled_from([0, 1, 2, 3]),

@@ -406,6 +406,14 @@ class TestSolveTwoView:
         with pytest.raises(InsufficientMatchesError):
             solve_two_view(starved)
 
+    @pytest.mark.parametrize("size", [(np.inf, 512.0), (512.0, np.nan), (0.0, 512.0),
+                                      (512.0, -5.0)])
+    def test_image_size_must_be_finite_and_positive(self, size):
+        mset, _ = make_two_view(31, 32)
+        with pytest.raises(ValueError, match="image size must be finite and positive"):
+            AnchorMatchSet(mset.anchors0, mset.matches0, mset.weights0, mset.anchors1,
+                           mset.matches1, mset.weights1, K, K, SIZE, size)
+
     def test_stage_label_on_degenerate_geometry(self):
         gx, gy = np.meshgrid(np.linspace(-0.8, 0.8, 4), np.linspace(-0.8, 0.8, 4))
         pts = np.stack([gx.ravel(), gy.ravel(), np.full(16, 2.0)], axis=1)
