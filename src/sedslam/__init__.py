@@ -13,16 +13,13 @@ from .geom import (
     Se3Pose,
     Sim3Transform,
     backproject,
-    epipolar_line,
     essential_from_fundamental,
     essential_from_pose,
     fundamental_from_essential,
-    point_line_error,
     project,
     skew,
     so3_exp,
     so3_log,
-    triangulate,
 )
 from .twoview import (
     AnchorMatchSet,
@@ -34,11 +31,10 @@ from .twoview import (
     sed_cost,
     sed_jacobian,
     select_by_chirality,
-    select_by_ground_truth,
     solve_two_view,
     weighted_eight_point,
 )
-from .ba import BaReport, Edge, FactorGraph, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
+from .ba import BaReport, Edge, FactorGraph, ba_solve, extrapolate_pose, reproject_matches
 from .sim3 import (
     JoinCandidate,
     Keyframe,

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BehindCameraError
-from .geom import Intrinsics, Se3Pose, backproject, project, so3_exp
+from .geom import Intrinsics, Se3Pose, calibrated_rays, so3_exp
 from .lm import levenberg_marquardt
 
 
@@ -97,16 +96,6 @@ class BaReport:
     n_behind: int = 0
 
 
-def reprojection_residual(graph: FactorGraph, edge_index: int, k: int) -> np.ndarray:
-    """Pixel residual of anchor k of one edge: proj[G_j^-1 G_i unproj(a_k, d_k)] - m_kj."""
-    edge = graph.edges[edge_index]
-    p = backproject(graph.anchors[edge.i][k], graph.depths[edge.i][k], graph.intrinsics[edge.i])
-    q = graph.poses[edge.j].inverse().apply(graph.poses[edge.i].apply(p))
-    if q[2] <= 0.0:
-        raise BehindCameraError(f"anchor {k} of edge {edge_index} reprojects behind camera {edge.j}")
-    return project(q, graph.intrinsics[edge.j]) - edge.matches[k]
-
-
 class _Observations(NamedTuple):
     """One row per (edge, owner anchor)."""
 
@@ -122,8 +111,7 @@ class _Observations(NamedTuple):
 def _observations(graph) -> _Observations:
     """The observation table of ``graph``, rows in edge order."""
     offsets = np.cumsum([0] + [len(a) for a in graph.anchors])
-    rays = np.concatenate([np.concatenate([a, np.ones((len(a), 1))], axis=1) @ k.inv_matrix().T
-                           for a, k in zip(graph.anchors, graph.intrinsics)])
+    rays = np.concatenate([calibrated_rays(a, k) for a, k in zip(graph.anchors, graph.intrinsics)])
     cams = np.array([(k.fx, k.fy, k.cx, k.cy) for k in graph.intrinsics])
     counts = [len(e.matches) for e in graph.edges]
     i = np.repeat(np.array([e.i for e in graph.edges], dtype=int), counts)

@@ -9,7 +9,9 @@ inliers. All randomness derives from the --seed flag.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .geom import Sim3Transform, quat_from_rotation, so3_exp
 from .metrics import ate_rmse
-from .sim3 import JoinCandidate, estimate_join, merge_trajectories
+from .sim3 import JoinCandidate, Trajectory, estimate_join, merge_trajectories
 from .twoview import solve_two_view
 
 
@@ -57,7 +59,8 @@ def _parse_grid(text: str):
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"grid must be start:stop:step, got {text!r}") from exc
-    if step <= 0.0 or stop < start:
+    # Also rejects non-finite bounds and a span whose point count overflows.
+    if not (0.0 < step < math.inf and stop >= start and (stop - start) / step < math.inf):
         raise ValueError(f"invalid grid {text!r}")
     n = int(np.floor((stop - start) / step + 0.5)) + 1
     return [start + i * step for i in range(n)]
@@ -79,14 +82,11 @@ def cmd_join(args) -> int:
     if not (0 <= args.frame_a < len(traj_a) and 0 <= args.frame_b < len(traj_b)):
         raise TrajectoryFileError("join frame index out of range")
     n0, n1 = len(mset.anchors0), len(mset.anchors1)
-    if len(traj_a.keyframes[args.frame_a].depths) != n0:
-        raise TrajectoryFileError(
-            f"frame {args.frame_a} of trajectory A has "
-            f"{len(traj_a.keyframes[args.frame_a].depths)} depths for {n0} matches")
-    if len(traj_b.keyframes[args.frame_b].depths) != n1:
-        raise TrajectoryFileError(
-            f"frame {args.frame_b} of trajectory B has "
-            f"{len(traj_b.keyframes[args.frame_b].depths)} depths for {n1} matches")
+    for name, traj, frame, n in (("A", traj_a, args.frame_a, n0), ("B", traj_b, args.frame_b, n1)):
+        n_depths = len(traj.keyframes[frame].depths)
+        if n_depths != n:
+            raise TrajectoryFileError(
+                f"frame {frame} of trajectory {name} has {n_depths} depths for {n} matches")
     candidate = JoinCandidate(args.frame_a, args.frame_b, mset,
                               np.arange(n0), np.arange(n1))
     est = estimate_join(traj_a, traj_b, candidate, ratio_bound=args.ratio_bound,
@@ -155,7 +155,7 @@ def cmd_synth_traj_pair(args) -> int:
     gt_sim3 = _random_sim3(rng, args.scale)
     noise = synth.NoiseModel(gaussian_sigma=args.sigma)
     pair = synth.make_trajectory_pair(args.seed, n_frames=args.n_frames,
-                                      overlap=args.overlap, sim3=gt_sim3, noise=noise)
+                                      overlap=args.overlap, sim3=gt_sim3)
     if not pair.pairs:
         raise SedSlamError("generated trajectory pair has no covisible frames")
     frame_a, frame_b = pair.pairs[0]
@@ -170,10 +170,8 @@ def cmd_synth_traj_pair(args) -> int:
     # sidecar rows pair positionally with the match-file rows.
     def restrict(traj, frame, ids):
         kfs = list(traj.keyframes)
-        kf = kfs[frame]
-        kfs[frame] = type(kf)(kf.timestamp, kf.pose, kf.depths[ids],
-                              None if kf.anchors is None else kf.anchors[ids])
-        return type(traj)(tuple(kfs), traj.intrinsics, traj.image_size)
+        kfs[frame] = replace(kfs[frame], depths=kfs[frame].depths[ids])
+        return Trajectory(tuple(kfs))
 
     traj_a = restrict(pair.traj_a, frame_a, candidate.anchor_ids0)
     traj_b = restrict(pair.traj_b, frame_b, candidate.anchor_ids1)

@@ -17,16 +17,8 @@ class SedSlamError(Exception):
         return f"{self.stage}: {msg}" if self.stage else str(msg)
 
 
-class DegenerateLineError(SedSlamError):
-    """Epipolar line with (l_x, l_y) ~ (0, 0); point-to-line error undefined."""
-
-
 class BehindCameraError(SedSlamError):
     """A projection was requested for a point with non-positive depth."""
-
-
-class ParallelRaysError(SedSlamError):
-    """Triangulation rays are (near) parallel; no finite intersection."""
 
 
 class RankDeficiencyError(SedSlamError):

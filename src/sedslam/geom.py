@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateLineError, ParallelRaysError
+from .errors import BehindCameraError
 
 # Threshold below which the Taylor branch of exp/log is used.
 SMALL_ANGLE = 1e-8
@@ -298,33 +298,6 @@ def essential_from_fundamental(f, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
     return k2.matrix().T @ np.asarray(f, dtype=float) @ k1.matrix()
 
 
-def epipolar_line(a, pose: RelativePose, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
-    """Epipolar line in image 2 of the anchor pixel ``a`` in image 1."""
-    f = fundamental_from_essential(essential_from_pose(pose), k1, k2)
-    ax, ay = np.asarray(a, dtype=float)
-    return f @ np.array([ax, ay, 1.0])
-
-
-def is_degenerate_line(line, eps: float = LINE_EPS) -> bool:
-    line = np.asarray(line, dtype=float)
-    return bool(line[0] * line[0] + line[1] * line[1] <= eps)
-
-
-def point_line_error(m, line) -> np.ndarray:
-    """2D point-to-line error vector.
-
-    ``err = ((l_x m_x + l_y m_y + l_z) / (l_x^2 + l_y^2)) * (l_x, l_y)``;
-    its norm is the perpendicular distance from m to the line.
-    """
-    line = np.asarray(line, dtype=float)
-    mx, my = np.asarray(m, dtype=float)
-    d = line[0] * line[0] + line[1] * line[1]
-    if d <= LINE_EPS:
-        raise DegenerateLineError(f"degenerate epipolar line {line}")
-    zeta = line[0] * mx + line[1] * my + line[2]
-    return (zeta / d) * line[:2]
-
-
 def project(points, k: Intrinsics) -> np.ndarray:
     """Pinhole projection of points (..., 3) in camera coordinates."""
     points = np.asarray(points, dtype=float)
@@ -347,6 +320,11 @@ def backproject(a, depth, k: Intrinsics) -> np.ndarray:
     return np.stack([x, y, np.ones_like(x)], axis=-1) * depth[..., None]
 
 
+def calibrated_rays(pixels, k: Intrinsics) -> np.ndarray:
+    """Rays ``K^-1 (x, y, 1)`` of pixel rows (n, 2), with z = 1."""
+    return np.concatenate([pixels, np.ones((len(pixels), 1))], axis=1) @ k.inv_matrix().T
+
+
 def triangulate_batch(pose: RelativePose, anchors, matches,
                       k1: Intrinsics, k2: Intrinsics):
     """Midpoint triangulation of anchor/match pixel pairs.
@@ -359,11 +337,9 @@ def triangulate_batch(pose: RelativePose, anchors, matches,
     matches = np.atleast_2d(np.asarray(matches, dtype=float))
     rot, t = pose.rotation, pose.translation_dir
 
-    ones = np.ones((anchors.shape[0], 1))
-    u = np.concatenate([anchors, ones], axis=1) @ k1.inv_matrix().T
+    u = calibrated_rays(anchors, k1)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.concatenate([matches, ones], axis=1) @ k2.inv_matrix().T
-    v = v @ rot  # rows become Rᵀ @ ray, the direction in frame 1
+    v = calibrated_rays(matches, k2) @ rot  # rows become Rᵀ @ ray, the direction in frame 1
     v /= np.linalg.norm(v, axis=1, keepdims=True)
 
     # Camera 2 center in frame 1 is -Rᵀ t, so the center offset is Rᵀ t.
@@ -381,15 +357,3 @@ def triangulate_batch(pose: RelativePose, anchors, matches,
     depth1 = mid[:, 2]
     depth2 = mid @ rot.T[:, 2] + t[2]  # z-row of R @ mid + t
     return depth1, depth2, valid
-
-
-def triangulate(pose: RelativePose, a, m, k1: Intrinsics, k2: Intrinsics) -> float:
-    """Signed unit-baseline depth of anchor ``a`` in its own frame.
-
-    Negative depths are returned as-is; chirality tests consume the sign.
-    Raises :class:`ParallelRaysError` when the two rays are near parallel.
-    """
-    depth1, _, valid = triangulate_batch(pose, a, m, k1, k2)
-    if not valid[0]:
-        raise ParallelRaysError("triangulation rays are parallel")
-    return float(depth1[0])

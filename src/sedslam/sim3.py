@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError
-from .geom import Intrinsics, RelativePose, Se3Pose, Sim3Transform, triangulate_batch
-from .twoview import AnchorMatchSet, SedSolveReport, solve_two_view
+from .geom import RelativePose, Se3Pose, Sim3Transform
+from .twoview import AnchorMatchSet, SedSolveReport, front_depths, solve_two_view
 
 # Default inlier band of the depth-ratio vote.
 RATIO_BOUND = 1.05
@@ -43,7 +43,6 @@ class Keyframe:
     timestamp: float
     pose: Se3Pose
     depths: np.ndarray
-    anchors: np.ndarray | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp):
@@ -54,12 +53,6 @@ class Keyframe:
             raise ValueError("keyframe depths must be finite and positive")
         d.flags.writeable = False
         object.__setattr__(self, "depths", d)
-        if self.anchors is not None:
-            a = np.array(self.anchors, dtype=float).reshape(-1, 2)
-            if len(a) != len(d):
-                raise ValueError("one depth per anchor required")
-            a.flags.writeable = False
-            object.__setattr__(self, "anchors", a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +60,6 @@ class Trajectory:
     """Timestamp-ordered keyframes with world-from-camera poses."""
 
     keyframes: tuple[Keyframe, ...]
-    intrinsics: Intrinsics | None = None
-    image_size: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(self.keyframes))
@@ -123,21 +114,13 @@ class TriangulatedDepths:
 
 
 def triangulated_depths(candidate: JoinCandidate) -> TriangulatedDepths:
-    """Unit-baseline depths of every anchor under the candidate's pose.
-
-    Frame-b anchors are triangulated with the inverse pose so each depth is
-    expressed in its own camera. Non-positive and degenerate triangulations
-    are dropped (marked invalid) and counted.
+    """Unit-baseline depths of every anchor under the candidate's pose, from
+    :func:`~sedslam.twoview.front_depths`; anchors not in front of both
+    cameras are dropped (marked invalid) and counted.
     """
     if candidate.pose is None:
         raise ValueError("candidate has no solved pose")
-    mset = candidate.matches
-    d0, d0_other, ok0 = triangulate_batch(candidate.pose, mset.anchors0, mset.matches0,
-                                          mset.intrinsics0, mset.intrinsics1)
-    d1, d1_other, ok1 = triangulate_batch(candidate.pose.inverse(), mset.anchors1,
-                                          mset.matches1, mset.intrinsics1, mset.intrinsics0)
-    valid0 = ok0 & (d0 > 0.0) & (d0_other > 0.0)
-    valid1 = ok1 & (d1 > 0.0) & (d1_other > 0.0)
+    d0, valid0, d1, valid1 = front_depths(candidate.pose, candidate.matches)
     n_valid = int(np.sum(valid0) + np.sum(valid1))
     n_dropped = len(d0) + len(d1) - n_valid
     if n_valid < MIN_VALID_DEPTHS:
@@ -165,8 +148,8 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
     dp = np.asarray(tri_depths, dtype=float).reshape(-1)
     if d.size == 0 or d.size != dp.size:
         raise ValueError("paired non-empty depth lists required")
-    if ratio_bound <= 1.0:
-        raise ValueError("ratio bound must exceed 1")
+    if not 1.0 < ratio_bound < math.inf:
+        raise ValueError(f"ratio bound must be finite and exceed 1, got {ratio_bound}")
     if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(dp) & (dp > 0.0))):
         raise ValueError("depths must be finite and positive")
     n = d.size
@@ -219,8 +202,10 @@ def build_sim3(pose: RelativePose, scale_a: ScaleEstimate, scale_b: ScaleEstimat
     and ``scale_b`` are the baseline magnitudes in each trajectory's units.
     The output has scale s_a/s_b and translation -s_a Rᵀ t, the variant
     validated by the synthetic round-trip oracle (the translation must be
-    expressed in trajectory-a units).
+    expressed in trajectory-a units). ``inlier_threshold`` must lie in [0, 1].
     """
+    if not 0.0 <= inlier_threshold <= 1.0:
+        raise ValueError(f"inlier threshold must lie in [0, 1], got {inlier_threshold}")
     if scale_a.inlier_fraction < inlier_threshold or scale_b.inlier_fraction < inlier_threshold:
         raise InsufficientInliersError(
             "scale voting inlier fractions "
@@ -295,4 +280,4 @@ def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
     mapped = [replace(k, pose=sim3.transform_pose(k.pose), depths=sim3.scale * k.depths)
               for k in traj_b.keyframes]
     merged = sorted(list(traj_a.keyframes) + mapped, key=lambda k: k.timestamp)
-    return Trajectory(tuple(merged), traj_a.intrinsics, traj_a.image_size)
+    return Trajectory(tuple(merged))

@@ -25,6 +25,8 @@ FOCAL = IMAGE_SIZE / 2.0  # 90 degree field of view
 DEFAULT_INTRINSICS = Intrinsics(FOCAL, FOCAL, IMAGE_SIZE / 2.0, IMAGE_SIZE / 2.0)
 VISIBILITY_MARGIN = 24.0
 MAX_SAMPLING_ROUNDS = 50
+# Anchors kept per trajectory keyframe, the anchor budget of a video frame.
+ANCHORS_PER_FRAME = 96
 
 
 @dataclass(frozen=True)
@@ -32,26 +34,19 @@ class NoiseModel:
     """Controlled corruption of synthetic matches.
 
     ``gaussian_sigma`` is clipped at 3 sigma per component so inlier
-    point-to-line residuals stay bounded by construction. With the "oracle"
-    weight policy inliers get weight 1 and outliers ``outlier_weight``;
-    "uniform" assigns weight 1 everywhere. ``outlier_box`` defaults to the
-    full image. ``depth_sigma_rel`` adds relative noise to map depths of
-    generated trajectories.
+    point-to-line residuals stay bounded by construction. Outliers are
+    redrawn uniformly over the image; inliers get weight 1 and outliers
+    ``outlier_weight`` (1.0 weighs every match alike).
     """
 
     gaussian_sigma: float = 0.0
     outlier_fraction: float = 0.0
-    outlier_box: tuple[float, float, float, float] | None = None
-    weight_policy: str = "oracle"
     outlier_weight: float = 1e-6
-    depth_sigma_rel: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1)")
-        if self.weight_policy not in ("oracle", "uniform"):
-            raise ValueError(f"unknown weight policy {self.weight_policy!r}")
-        if self.gaussian_sigma < 0.0 or self.depth_sigma_rel < 0.0:
+        if self.gaussian_sigma < 0.0:
             raise ValueError("noise magnitudes must be non-negative")
 
 
@@ -70,6 +65,16 @@ def _look_at(center, target, up, roll_rng=None):
     if roll_rng is not None:
         rot = rot @ so3_exp(np.array([0.0, 0.0, roll_rng.uniform(-0.2, 0.2)]))
     return rot
+
+
+def _visible(local, k, z_min):
+    """Mask of camera-frame points (n, 3) deeper than ``z_min`` whose
+    projections lie at least ``VISIBILITY_MARGIN`` inside the image."""
+    ok = local[:, 2] > z_min
+    uv = np.full((len(local), 2), -1.0)
+    uv[ok] = project(local[ok], k)
+    lo, hi = VISIBILITY_MARGIN, IMAGE_SIZE - VISIBILITY_MARGIN
+    return ok & np.all((uv >= lo) & (uv <= hi), axis=1)
 
 
 def _corrupt_matches(matches, rng, noise, width, height):
@@ -125,11 +130,7 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
         px = rng.uniform(lo, hi, size=m)
         py = rng.uniform(lo, hi, size=m)
         cand = np.stack([(px - k.cx) / k.fx * z, (py - k.cy) / k.fy * z, z], axis=1)
-        in2 = cand @ r01.T + t01
-        ok = in2[:, 2] > 0.2 * baseline
-        u2 = np.full((m, 2), -1.0)
-        u2[ok] = project(in2[ok], k)
-        ok &= np.all((u2 >= lo) & (u2 <= hi), axis=1)
+        ok = _visible(cand @ r01.T + t01, k, 0.2 * baseline)
         pts.extend(cand[ok])
         if len(pts) >= n_points:
             break
@@ -146,9 +147,8 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
 
     n_out = int(np.floor(noise.outlier_fraction * n_points))
     out_idx = rng.choice(n_points, size=n_out, replace=False) if n_out else np.array([], dtype=int)
-    box = noise.outlier_box or (0.0, w, 0.0, h)
     for idx in out_idx:
-        redraw = np.array([rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3])])
+        redraw = np.array([rng.uniform(0.0, w), rng.uniform(0.0, h)])
         if idx < n0:
             matches0[idx] = redraw
         else:
@@ -159,12 +159,11 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
 
     weights0 = np.ones(n0)
     weights1 = np.ones(n_points - n0)
-    if noise.weight_policy == "oracle":
-        for idx in out_idx:
-            if idx < n0:
-                weights0[idx] = noise.outlier_weight
-            else:
-                weights1[idx - n0] = noise.outlier_weight
+    for idx in out_idx:
+        if idx < n0:
+            weights0[idx] = noise.outlier_weight
+        else:
+            weights1[idx - n0] = noise.outlier_weight
 
     mset = AnchorMatchSet(anchors0, matches0, weights0, anchors1, matches1, weights1,
                           k, k, (w, h), (w, h))
@@ -198,7 +197,6 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
     counts = [n_anchors // n_frames] * n_frames
     for f in range(n_anchors % n_frames):
         counts[f] += 1
-    lo, hi = VISIBILITY_MARGIN, IMAGE_SIZE - VISIBILITY_MARGIN
     anchors, depths, points = [], [], []
     for f in range(n_frames):
         own: list[np.ndarray] = []
@@ -208,11 +206,7 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
                              radius + rng.uniform(-1.1, 1.1, m)], axis=1)
             ok = np.ones(m, dtype=bool)
             for g in range(n_frames):
-                local = poses[g].inverse().apply(cand)
-                ok &= local[:, 2] > 0.5
-                uv = np.full((m, 2), -1.0)
-                uv[ok] = project(local[ok], k)
-                ok &= np.all((uv >= lo) & (uv <= hi), axis=1)
+                ok &= _visible(poses[g].inverse().apply(cand), k, 0.5)
             own.extend(cand[ok])
             if len(own) >= counts[f]:
                 break
@@ -264,12 +258,16 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
 class TrajectoryPair:
     """Two overlapping synthetic trajectories plus everything needed to join
     them: covisible frame pairs, the shared cloud, and the ground truth
-    world-level Sim(3) mapping trajectory b into trajectory a."""
+    world-level Sim(3) mapping trajectory b into trajectory a.
+    ``anchors_a``/``anchors_b`` hold each keyframe's anchor pixels, one per
+    depth."""
 
     traj_a: Trajectory
     traj_b: Trajectory
     pairs: tuple[tuple[int, int], ...]
     gt_sim3: Sim3Transform
+    anchors_a: tuple[np.ndarray, ...] = field(repr=False)
+    anchors_b: tuple[np.ndarray, ...] = field(repr=False)
     points: np.ndarray = field(repr=False)
     point_ids_a: tuple[np.ndarray, ...] = field(repr=False)
     point_ids_b: tuple[np.ndarray, ...] = field(repr=False)
@@ -288,24 +286,15 @@ def _arc_trajectory(rng, n_frames, start_deg, step_deg, radius, t0):
 
 
 def _visible_ids(pose, points, k):
-    local = pose.inverse().apply(points)
-    ok = local[:, 2] > 0.5
-    uv = np.full((len(points), 2), -1.0)
-    uv[ok] = project(local[ok], k)
-    lo, hi = VISIBILITY_MARGIN, IMAGE_SIZE - VISIBILITY_MARGIN
-    ok &= np.all((uv >= lo) & (uv <= hi), axis=1)
-    return np.flatnonzero(ok)
+    return np.flatnonzero(_visible(pose.inverse().apply(points), k, 0.5))
 
 
 def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
-                         sim3: Sim3Transform | None = None,
-                         noise: NoiseModel | None = None,
-                         anchors_per_frame: int = 96) -> TrajectoryPair:
+                         sim3: Sim3Transform | None = None) -> TrajectoryPair:
     """Two smooth trajectories observing a shared cloud, the second stored in
     a frame related to the first by the given Sim(3)."""
     if not 0.0 < overlap <= 1.0:
         raise ValueError("overlap must lie in (0, 1]")
-    noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
     k = DEFAULT_INTRINSICS
     sim3 = sim3 or Sim3Transform.identity()
@@ -318,32 +307,23 @@ def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
     start_b = -90.0 + span * (1.0 - overlap)
     poses_b, ts_b = _arc_trajectory(rng, n_frames, start_b, step, radius, 200.0)
 
-    def build_keyframes(poses, stamps, scale):
-        kfs, ids = [], []
+    def build_keyframes(poses, stamps, scale, stored_pose):
+        kfs, anchors, ids = [], [], []
         for pose, ts in zip(poses, stamps):
             vis = _visible_ids(pose, points, k)
             if len(vis) < 12:
                 raise RuntimeError("trajectory keyframe sees too few points")
-            take = vis[rng.permutation(len(vis))[:anchors_per_frame]]
+            take = vis[rng.permutation(len(vis))[:ANCHORS_PER_FRAME]]
             take = np.sort(take)
             local = pose.inverse().apply(points[take])
-            depth = local[:, 2] / scale
-            if noise.depth_sigma_rel > 0.0:
-                depth = depth * (1.0 + np.clip(rng.normal(0.0, noise.depth_sigma_rel, depth.shape),
-                                               -0.5, 0.5))
-            kfs.append((ts, pose, project(local, k), depth, take))
+            kfs.append(Keyframe(ts, stored_pose(pose), local[:, 2] / scale))
+            anchors.append(project(local, k))
             ids.append(take)
-        return kfs, ids
+        return Trajectory(tuple(kfs)), tuple(anchors), ids
 
-    kf_a, ids_a = build_keyframes(poses_a, ts_a, 1.0)
-    kf_b_metric, ids_b = build_keyframes(poses_b, ts_b, sim3.scale)
-
-    traj_a = Trajectory(tuple(Keyframe(ts, pose, d, a) for ts, pose, a, d, _ in kf_a),
-                        k, (IMAGE_SIZE, IMAGE_SIZE))
-    inv = sim3.inverse()
-    traj_b = Trajectory(tuple(Keyframe(ts, inv.transform_pose(pose), d, a)
-                              for ts, pose, a, d, _ in kf_b_metric),
-                        k, (IMAGE_SIZE, IMAGE_SIZE))
+    traj_a, anchors_a, ids_a = build_keyframes(poses_a, ts_a, 1.0, lambda pose: pose)
+    traj_b, anchors_b, ids_b = build_keyframes(poses_b, ts_b, sim3.scale,
+                                               sim3.inverse().transform_pose)
 
     # A pair is covisible when enough of each frame's anchors project into
     # the other camera and the baseline is wide but not extreme.
@@ -358,7 +338,7 @@ def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
             if 4.0 <= sep <= 16.0 and n_ab >= 24 and n_ba >= 24:
                 pairs.append((ia, ib))
 
-    return TrajectoryPair(traj_a, traj_b, tuple(pairs), sim3, points,
+    return TrajectoryPair(traj_a, traj_b, tuple(pairs), sim3, anchors_a, anchors_b, points,
                           tuple(ids_a), tuple(ids_b), tuple(poses_b))
 
 
@@ -372,10 +352,8 @@ def build_join_candidate(pair: TrajectoryPair, frame_a: int, frame_b: int,
     """
     noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
-    k = pair.traj_a.intrinsics
-    kf_a = pair.traj_a.keyframes[frame_a]
-    kf_b = pair.traj_b.keyframes[frame_b]
-    pose_a = kf_a.pose
+    k = DEFAULT_INTRINSICS
+    pose_a = pair.traj_a.keyframes[frame_a].pose
     pose_b = pair.poses_b_metric[frame_b]
 
     ids_a = pair.point_ids_a[frame_a]
@@ -391,8 +369,8 @@ def build_join_candidate(pair: TrajectoryPair, frame_a: int, frame_b: int,
     m0 = _corrupt_matches(m0, rng, noise, IMAGE_SIZE, IMAGE_SIZE)
     m1 = _corrupt_matches(m1, rng, noise, IMAGE_SIZE, IMAGE_SIZE)
 
-    mset = AnchorMatchSet(kf_a.anchors[sel_a], m0, np.ones(len(sel_a)),
-                          kf_b.anchors[sel_b], m1, np.ones(len(sel_b)),
+    mset = AnchorMatchSet(pair.anchors_a[frame_a][sel_a], m0, np.ones(len(sel_a)),
+                          pair.anchors_b[frame_b][sel_b], m1, np.ones(len(sel_b)),
                           k, k, (IMAGE_SIZE, IMAGE_SIZE), (IMAGE_SIZE, IMAGE_SIZE))
     return JoinCandidate(frame_a, frame_b, mset, sel_a, sel_b)
 
@@ -427,9 +405,8 @@ class BasinRow:
 
 
 def basin_experiment(n_seeds: int, init_error_grid, mode: str,
-                     base_seed: int = 0, n_points: int = 96,
-                     max_iters: int = 50) -> list[BasinRow]:
-    """Convergence-basin sweep on noise-free matches.
+                     base_seed: int = 0, max_iters: int = 50) -> list[BasinRow]:
+    """Convergence-basin sweep on noise-free 96-point scenes.
 
     For every grid angle and seed, the ground-truth pose is perturbed by the
     angle about random axes and the selected pipeline is run: "sed_only"
@@ -441,7 +418,7 @@ def basin_experiment(n_seeds: int, init_error_grid, mode: str,
     rows = []
     for s in range(n_seeds):
         seed = base_seed + s
-        mset, gt = make_two_view(seed, n_points=n_points)
+        mset, gt = make_two_view(seed)
         for init_deg in init_error_grid:
             if mode == "sed_only":
                 rng = np.random.default_rng((seed, int(round(init_deg * 1000.0)), 17))

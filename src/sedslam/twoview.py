@@ -15,6 +15,7 @@ are clamped onto their epipolar lines.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,8 +31,8 @@ from .geom import (
     LINE_EPS,
     Intrinsics,
     RelativePose,
+    calibrated_rays,
     essential_from_fundamental,
-    rotation_angle,
     skew,
     so3_exp,
     triangulate_batch,
@@ -216,19 +217,29 @@ def _direction(mset: AnchorMatchSet, forward: bool):
     return mset.anchors1, mset.matches1, mset.weights1, mset.intrinsics1, mset.intrinsics0
 
 
+def front_depths(pose: RelativePose, mset: AnchorMatchSet):
+    """Unit-baseline depths of every anchor and masks of those in front.
+
+    Frame-0 anchors are triangulated with ``pose`` and frame-1 anchors with
+    its inverse, so each depth is expressed in its anchor's own camera. An
+    anchor is in front when its rays subtend at least ``MIN_RAY_ANGLE`` and
+    the midpoint lies in front of both cameras. Returns (depths0, front0,
+    depths1, front1); a direction without anchors gives empty arrays.
+    """
+    out = []
+    for p, forward in ((pose, True), (pose.inverse(), False)):
+        anchors, matches, _, ka, kb = _direction(mset, forward)
+        d1, d2, valid = triangulate_batch(p, anchors, matches, ka, kb)
+        out += [d1, valid & (d1 > 0.0) & (d2 > 0.0)]
+    return tuple(out)
+
+
 def chirality_scores(candidates, mset: AnchorMatchSet) -> np.ndarray:
     """Weighted count of matches triangulating in front of both cameras."""
     scores = np.zeros(len(candidates))
     for idx, cand in enumerate(candidates):
-        total = 0.0
-        for pose, forward in ((cand, True), (cand.inverse(), False)):
-            anchors, matches, w, ka, kb = _direction(mset, forward)
-            if len(anchors) == 0:
-                continue
-            d1, d2, valid = triangulate_batch(pose, anchors, matches, ka, kb)
-            front = valid & (d1 > 0.0) & (d2 > 0.0)
-            total += float(np.sum(w[front]))
-        scores[idx] = total
+        _, front0, _, front1 = front_depths(cand, mset)
+        scores[idx] = float(np.sum(mset.weights0[front0])) + float(np.sum(mset.weights1[front1]))
     return scores
 
 
@@ -244,17 +255,6 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
         raise AmbiguityError(
             f"chirality test is ambiguous (support {scores.tolist()})")
     return candidates[best], best
-
-
-def select_by_ground_truth(candidates, gt: RelativePose) -> RelativePose:
-    """Candidate closest to gt: geodesic rotation angle plus translation
-    direction angle; ties break to the lowest index."""
-    dists = []
-    for cand in candidates:
-        rot = rotation_angle(cand.rotation.T @ gt.rotation)
-        cos_t = np.clip(np.dot(cand.translation_dir, gt.translation_dir), -1.0, 1.0)
-        dists.append(rot + float(np.arccos(cos_t)))
-    return candidates[int(np.argmin(dists))]
 
 
 _GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
@@ -274,7 +274,7 @@ def _epipolar(rot, t, mset: AnchorMatchSet, forward: bool):
     anchors, matches, w, ka, kb = _direction(mset, forward)
     e = skew(t) @ rot if forward else rot.T @ skew(t)
     kb_invt = kb.inv_matrix().T
-    rays = np.concatenate([anchors, np.ones((len(anchors), 1))], axis=1) @ ka.inv_matrix().T
+    rays = calibrated_rays(anchors, ka)
     lines = rays @ (kb_invt @ e).T
     lx, ly, lz = lines[:, 0], lines[:, 1], lines[:, 2]
     d = lx * lx + ly * ly
@@ -409,17 +409,15 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
     return mset.with_matches(*new_matches)
 
 
+@contextlib.contextmanager
 def _staged(stage):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SedSlamError) and exc.stage is None:
-                exc.stage = stage
-            return False
-
-    return _Ctx()
+    """Tag a :class:`SedSlamError` raised inside with ``stage`` unless it has one."""
+    try:
+        yield
+    except SedSlamError as exc:
+        if exc.stage is None:
+            exc.stage = stage
+        raise
 
 
 def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:

@@ -1,17 +1,89 @@
 """Reference implementations that the tests compare the library against.
 
 Each is the direct form (quadratic, line by line or element by element) of
-a rule that the library computes a faster way, written in the same
-floating-point arithmetic so that results must be equal, not merely close.
+a rule that the library computes a faster way. The geometry helpers take one
+element at a time; the others are written in the same floating-point
+arithmetic so that results must be equal, not merely close.
 """
 
 import math
 
 import numpy as np
 
-from sedslam.errors import TrajectoryFileError
-from sedslam.geom import Se3Pose
+from sedslam.errors import BehindCameraError, SedSlamError, TrajectoryFileError
+from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, backproject,
+                          essential_from_pose, fundamental_from_essential, project,
+                          rotation_angle, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
+
+
+class DegenerateLineError(SedSlamError):
+    """Epipolar line with (l_x, l_y) ~ (0, 0); point-to-line error undefined."""
+
+
+class ParallelRaysError(SedSlamError):
+    """Triangulation rays are (near) parallel; no finite intersection."""
+
+
+def epipolar_line(a, pose: RelativePose, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
+    """Epipolar line in image 2 of the anchor pixel ``a`` in image 1."""
+    f = fundamental_from_essential(essential_from_pose(pose), k1, k2)
+    ax, ay = np.asarray(a, dtype=float)
+    return f @ np.array([ax, ay, 1.0])
+
+
+def is_degenerate_line(line, eps: float = LINE_EPS) -> bool:
+    line = np.asarray(line, dtype=float)
+    return bool(line[0] * line[0] + line[1] * line[1] <= eps)
+
+
+def point_line_error(m, line) -> np.ndarray:
+    """2D point-to-line error vector.
+
+    ``err = ((l_x m_x + l_y m_y + l_z) / (l_x^2 + l_y^2)) * (l_x, l_y)``;
+    its norm is the perpendicular distance from m to the line.
+    """
+    line = np.asarray(line, dtype=float)
+    mx, my = np.asarray(m, dtype=float)
+    d = line[0] * line[0] + line[1] * line[1]
+    if d <= LINE_EPS:
+        raise DegenerateLineError(f"degenerate epipolar line {line}")
+    zeta = line[0] * mx + line[1] * my + line[2]
+    return (zeta / d) * line[:2]
+
+
+def triangulate(pose: RelativePose, a, m, k1: Intrinsics, k2: Intrinsics) -> float:
+    """Signed unit-baseline depth of anchor ``a`` in its own frame.
+
+    Negative depths are returned as-is; chirality tests consume the sign.
+    Raises :class:`ParallelRaysError` when the two rays are near parallel.
+    """
+    depth1, _, valid = triangulate_batch(pose, a, m, k1, k2)
+    if not valid[0]:
+        raise ParallelRaysError("triangulation rays are parallel")
+    return float(depth1[0])
+
+
+def reprojection_residual(graph, edge_index: int, k: int) -> np.ndarray:
+    """Pixel residual of anchor k of one edge: proj[G_j^-1 G_i unproj(a_k, d_k)] - m_kj."""
+    edge = graph.edges[edge_index]
+    p = backproject(graph.anchors[edge.i][k], graph.depths[edge.i][k], graph.intrinsics[edge.i])
+    q = graph.poses[edge.j].inverse().apply(graph.poses[edge.i].apply(p))
+    if q[2] <= 0.0:
+        raise BehindCameraError(
+            f"anchor {k} of edge {edge_index} reprojects behind camera {edge.j}")
+    return project(q, graph.intrinsics[edge.j]) - edge.matches[k]
+
+
+def select_by_ground_truth(candidates, gt: RelativePose) -> RelativePose:
+    """Candidate closest to gt: geodesic rotation angle plus translation
+    direction angle; ties break to the lowest index."""
+    dists = []
+    for cand in candidates:
+        rot = rotation_angle(cand.rotation.T @ gt.rotation)
+        cos_t = np.clip(np.dot(cand.translation_dir, gt.translation_dir), -1.0, 1.0)
+        dists.append(rot + float(np.arccos(cos_t)))
+    return candidates[int(np.argmin(dists))]
 
 
 def brute_force_scale(map_depths, tri_depths, ratio_bound=1.05):

@@ -178,7 +178,7 @@ def test_criterion_6_sim3_join_round_trip():
         rot_ok += np.degrees(rotation_angle(est.world_sim3.rotation.T @ gt.rotation)) < 1.0
 
         gt_kfs = list(pair.traj_a.keyframes) + [
-            Keyframe(k.timestamp, p, k.depths * gt.scale, k.anchors)
+            Keyframe(k.timestamp, p, k.depths * gt.scale)
             for k, p in zip(pair.traj_b.keyframes, pair.poses_b_metric)]
         reference = Trajectory(tuple(sorted(gt_kfs, key=lambda k: k.timestamp)))
         pos = reference.positions()

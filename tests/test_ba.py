@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import reprojection_residual
 
 from sedslam import ba
-from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches, reprojection_residual
+from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches
 from sedslam.geom import Intrinsics, Se3Pose, rotation_angle, so3_exp, so3_log
 from sedslam.synth import make_ba_graph
 

@@ -39,9 +39,8 @@ def write_join_fixture(tmp_path, seed=3, sim3=None, shuffle_matches=False):
     def restrict(traj, frame, ids):
         kfs = list(traj.keyframes)
         kf = kfs[frame]
-        kfs[frame] = Keyframe(kf.timestamp, kf.pose, kf.depths[ids],
-                              None if kf.anchors is None else kf.anchors[ids])
-        return Trajectory(tuple(kfs), traj.intrinsics, traj.image_size)
+        kfs[frame] = Keyframe(kf.timestamp, kf.pose, kf.depths[ids])
+        return Trajectory(tuple(kfs))
 
     traj_a = restrict(pair.traj_a, frame_a, cand.anchor_ids0)
     traj_b = restrict(pair.traj_b, frame_b, cand.anchor_ids1)
@@ -126,6 +125,13 @@ class TestBasinCommand:
                          "--seeds", "3", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("grid", ["0:inf:10", "-inf:90:10", "0:90:inf", "nan:90:10",
+                                      "0:nan:10", "0:90:nan", "-1e308:1e308:1"])
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys, grid):
+        assert main(["basin", "--mode", "sed_only", f"--grid={grid}",
+                     "--out", str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err == f"error: invalid grid {grid!r}\n"
+
     def test_preconditioned_rows_converge(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         assert main(["basin", "--mode", "preconditioned", "--grid", "0:60:30",
@@ -149,7 +155,7 @@ class TestJoinCommand:
                      "--frame-a", str(fa), "--frame-b", str(fb),
                      "--out", merged, "--sim3-out", sim3_out])
         assert code == 0
-        payload = json.loads(open(sim3_out).read())
+        payload = json.loads((tmp_path / "s.json").read_text())
         assert abs(payload["scale"] / 2.0 - 1.0) < 0.05
 
     def test_self_join_gives_identity(self, tmp_path, capsys):
@@ -162,7 +168,7 @@ class TestJoinCommand:
                      "--frame-a", str(fa), "--frame-b", str(fb),
                      "--out", merged, "--sim3-out", sim3_out])
         assert code == 0
-        payload = json.loads(open(sim3_out).read())
+        payload = json.loads((tmp_path / "s.json").read_text())
         assert abs(payload["scale"] - 1.0) < 1e-6
         q = payload["rotation_quat_xyzw"]
         assert abs(q[3] - 1.0) < 1e-6
@@ -178,6 +184,39 @@ class TestJoinCommand:
                      "--out", str(tmp_path / "m.txt"), "--sim3-out", str(tmp_path / "s.json")])
         assert code == 1
         assert "1 depth-sidecar rows match no pose" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_depth_count_mismatch_exits_1(self, tmp_path, capsys, side):
+        pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        frame, traj = (fa, pair.traj_a) if side == "A" else (fb, pair.traj_b)
+        stamp = f"{traj.keyframes[frame].timestamp:.6f}"
+        sidecar = tmp_path / f"traj{side}.depths"
+        rows = sidecar.read_text().splitlines(keepends=True)
+        mine = [i for i, row in enumerate(rows) if row.split()[0] == stamp]
+        del rows[mine[-1]]  # the frame's highest anchor id
+        sidecar.write_text("".join(rows))
+        code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
+                     "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
+                     "--frame-a", str(fa), "--frame-b", str(fb),
+                     "--out", str(tmp_path / "m.txt"), "--sim3-out", str(tmp_path / "s.json")])
+        assert code == 1
+        n = len(mine)
+        assert (capsys.readouterr().err
+                == f"error: frame {frame} of trajectory {side} has {n - 1} depths for {n} matches\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "1.0"),
+        ("--inlier-thresh", "nan"), ("--inlier-thresh", "inf"),
+        ("--inlier-thresh", "-0.1"), ("--inlier-thresh", "1.5")])
+    def test_invalid_vote_setting_exits_1(self, tmp_path, capsys, flag, value):
+        pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
+                     "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
+                     "--frame-a", str(fa), "--frame-b", str(fb), flag, value,
+                     "--out", str(tmp_path / "m.txt"), "--sim3-out", str(tmp_path / "s.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("ratio bound" if flag == "--lambda" else "inlier threshold") in err
 
     def test_non_covisible_pair_exits_3(self, tmp_path, capsys):
         pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=6, shuffle_matches=True)

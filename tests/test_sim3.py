@@ -47,7 +47,7 @@ def gt_relative_pose(pose_a: Se3Pose, pose_b: Se3Pose):
 def gt_merged_trajectory(pair):
     kfs = list(pair.traj_a.keyframes)
     for kf, pose in zip(pair.traj_b.keyframes, pair.poses_b_metric):
-        kfs.append(Keyframe(kf.timestamp, pose, kf.depths * pair.gt_sim3.scale, kf.anchors))
+        kfs.append(Keyframe(kf.timestamp, pose, kf.depths * pair.gt_sim3.scale))
     return Trajectory(tuple(sorted(kfs, key=lambda k: k.timestamp)))
 
 
@@ -142,6 +142,11 @@ class TestEstimateScale:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             estimate_scale([], [])
+
+    @pytest.mark.parametrize("ratio_bound", [np.nan, np.inf, 1.0, 0.5])
+    def test_ratio_bound_must_be_finite_and_exceed_1(self, ratio_bound):
+        with pytest.raises(ValueError, match="ratio bound must be finite and exceed 1"):
+            estimate_scale([1.0, 2.0], [1.0, 2.0], ratio_bound)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("side", ["map", "triangulated"])
@@ -298,6 +303,13 @@ class TestBuildSim3:
         alt_err = np.linalg.norm(alt_translation - gt_cam.translation)
         assert alt_err > 10.0 * good_err
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.1, 1.5])
+    def test_inlier_threshold_must_lie_in_unit_interval(self, threshold):
+        pose = RelativePose(np.eye(3), [1.0, 0.0, 0.0])
+        est = ScaleEstimate(1.0, 30, 1.0)
+        with pytest.raises(ValueError, match=r"inlier threshold must lie in \[0, 1\]"):
+            build_sim3(pose, est, est, threshold)
+
     def test_low_inlier_fraction_raises(self):
         pose = RelativePose(np.eye(3), [1.0, 0.0, 0.0])
         good = ScaleEstimate(1.0, 30, 0.9)
@@ -333,8 +345,7 @@ class TestMerge:
         second = Trajectory(full.keyframes[5:])
         s = random_sim3(np.random.default_rng(4))
         stored = Trajectory(tuple(
-            Keyframe(k.timestamp, s.inverse().transform_pose(k.pose),
-                     k.depths / s.scale, k.anchors)
+            Keyframe(k.timestamp, s.inverse().transform_pose(k.pose), k.depths / s.scale)
             for k in second.keyframes))
         merged = merge_trajectories(first, stored, s)
         assert ate_rmse(merged, full, mode="se3", max_dt=1e-6) < 1e-6
@@ -387,11 +398,10 @@ class TestJoinPipeline:
         traj = TestMerge()._simple_trajectory(0.0, n=8, seed=10)
         s = random_sim3(np.random.default_rng(11))
         mapped = Trajectory(tuple(
-            Keyframe(k.timestamp, s.transform_pose(k.pose), s.scale * k.depths, k.anchors)
+            Keyframe(k.timestamp, s.transform_pose(k.pose), s.scale * k.depths)
             for k in traj.keyframes))
         back = Trajectory(tuple(
-            Keyframe(k.timestamp, s.inverse().transform_pose(k.pose),
-                     k.depths / s.scale, k.anchors)
+            Keyframe(k.timestamp, s.inverse().transform_pose(k.pose), k.depths / s.scale)
             for k in mapped.keyframes))
         for kf_a, kf_b in zip(traj.keyframes, back.keyframes):
             assert np.max(np.abs(kf_a.pose.rotation - kf_b.pose.rotation)) < 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from oracles import epipolar_line, point_line_error
 
-from sedslam.geom import epipolar_line, point_line_error
 from sedslam.synth import (
     NoiseModel,
     basin_experiment,
@@ -136,12 +136,10 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(outlier_fraction=1.2)
         with pytest.raises(ValueError):
-            NoiseModel(weight_policy="magic")
-        with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma=-0.1)
 
     def test_uniform_policy_keeps_unit_weights(self):
-        noise = NoiseModel(outlier_fraction=0.3, weight_policy="uniform")
+        noise = NoiseModel(outlier_fraction=0.3, outlier_weight=1.0)
         mset, _ = make_two_view(3, 40, noise=noise)
         assert np.all(mset.weights0 == 1.0)
         assert np.all(mset.weights1 == 1.0)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from oracles import epipolar_line, point_line_error, select_by_ground_truth
 
 from sedslam import twoview
 from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
 from sedslam.geom import (
     Intrinsics,
     RelativePose,
-    epipolar_line,
     essential_from_fundamental,
     essential_from_pose,
-    point_line_error,
     so3_exp,
     so3_log,
 )
@@ -26,7 +25,6 @@ from sedslam.twoview import (
     sed_cost,
     sed_jacobian,
     select_by_chirality,
-    select_by_ground_truth,
     solve_two_view,
     weighted_eight_point,
 )
@@ -189,6 +187,28 @@ class TestChirality:
         mirrored = RelativePose(gt.rotation, -gt.translation_dir)
         scores = chirality_scores([gt, mirrored], mset)
         assert scores[1] == 0.0
+
+    def test_only_ground_truth_has_support(self):
+        # The twisted-pair candidates put points in front of one camera only.
+        for seed in range(3):
+            mset, gt = make_two_view(40 + seed, 40)
+            scores = chirality_scores(decompose_essential(essential_from_pose(gt)), mset)
+            assert sorted(scores) == [0.0, 0.0, 0.0, 40.0]
+
+    def test_empty_direction_scores_zero(self):
+        # Every anchor in frame 0: the reverse direction has no anchors.
+        m, gt = make_two_view(33, 48)
+        one = AnchorMatchSet(np.concatenate([m.anchors0, m.matches1]),
+                             np.concatenate([m.matches0, m.anchors1]),
+                             np.concatenate([m.weights0, m.weights1]),
+                             np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), K, K, SIZE, SIZE)
+        cands = decompose_essential(essential_from_pose(gt))
+        for cand, score in zip(cands, chirality_scores(cands, one)):
+            depths0, front0, depths1, front1 = twoview.front_depths(cand, one)
+            assert depths0.shape == front0.shape == (48,)
+            assert depths1.shape == front1.shape == (0,)
+            assert score == float(np.sum(one.weights0[front0]))
+        assert pose_error(solve_two_view(one).pose, gt).max_deg < 1e-5
 
     def test_zero_weight_set_is_ambiguous(self):
         mset, gt = make_two_view(10, 16)
