@@ -1,5 +1,7 @@
 """Exception types shared by the solvers and the file formats."""
 
+import contextlib
+
 
 class SedSlamError(Exception):
     """Base class for solver and file-format failures.
@@ -15,6 +17,17 @@ class SedSlamError(Exception):
     def __str__(self):
         msg = self.args[0] if self.args else ""
         return f"{self.stage}: {msg}" if self.stage else str(msg)
+
+
+@contextlib.contextmanager
+def _staged(stage):
+    """Tag a :class:`SedSlamError` raised inside with ``stage`` unless it has one."""
+    try:
+        yield
+    except SedSlamError as exc:
+        if exc.stage is None:
+            exc.stage = stage
+        raise
 
 
 class BehindCameraError(SedSlamError):

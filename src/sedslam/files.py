@@ -38,6 +38,7 @@ _ODD_ID = 2 ** 62
 
 
 def write_match_file(path, mset: AnchorMatchSet) -> None:
+    """Write ``mset`` at 9 decimals; a weight printed outside (0, 1] raises before opening."""
     lines = ["# two-view anchor/match set"]
     for fid, k, size in ((0, mset.intrinsics0, mset.size0), (1, mset.intrinsics1, mset.size1)):
         lines.append(f"intrinsics {fid} {k.fx:.9f} {k.fy:.9f} {k.cx:.9f} {k.cy:.9f} "
@@ -45,7 +46,10 @@ def write_match_file(path, mset: AnchorMatchSet) -> None:
     for fid, anchors, matches, weights in ((0, mset.anchors0, mset.matches0, mset.weights0),
                                            (1, mset.anchors1, mset.matches1, mset.weights1)):
         for a, m, w in zip(anchors, matches, weights):
-            lines.append(f"{fid} {a[0]:.9f} {a[1]:.9f} {m[0]:.9f} {m[1]:.9f} {w:.9f}")
+            printed = f"{w:.9f}"
+            if not 0.0 < float(printed) <= 1.0:
+                raise ValueError(f"frame-{fid} weight {w} prints as {printed}, outside (0, 1]")
+            lines.append(f"{fid} {a[0]:.9f} {a[1]:.9f} {m[0]:.9f} {m[1]:.9f} {printed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError
+from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError, _staged
 from .geom import RelativePose, Se3Pose, Sim3Transform
 from .twoview import AnchorMatchSet, SedSolveReport, front_depths, solve_two_view
 
@@ -235,22 +235,24 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     Runs the two-view solver, triangulates, votes the two scales, builds the
     camera-level transform and conjugates it with the keyframe poses:
     ``S_world = G_a . S_cam . G_b^-1`` maps trajectory b's world frame into
-    trajectory a's.
+    trajectory a's. A ``SedSlamError`` names its stage: a two-view sub-stage,
+    else ``two_view``, ``triangulate`` or ``sim3``.
     """
-    report = solve_two_view(candidate.matches, max_iters)
+    with _staged("two_view"):
+        report = solve_two_view(candidate.matches, max_iters)
     candidate.pose = report.pose
-    tri = triangulated_depths(candidate)
-
     kf_a = traj_a.keyframes[candidate.frame_a]
     kf_b = traj_b.keyframes[candidate.frame_b]
-    vo_a = kf_a.depths[candidate.anchor_ids0][tri.valid0]
-    vo_b = kf_b.depths[candidate.anchor_ids1][tri.valid1]
-    if vo_a.size == 0 or vo_b.size == 0:
-        raise TooFewDepthsError("no valid depths on one side of the candidate pair")
-    scale_a = estimate_scale(vo_a, tri.depths0[tri.valid0], ratio_bound)
-    scale_b = estimate_scale(vo_b, tri.depths1[tri.valid1], ratio_bound)
-
-    cam = build_sim3(report.pose, scale_a, scale_b, inlier_threshold)
+    with _staged("triangulate"):
+        tri = triangulated_depths(candidate)
+        vo_a = kf_a.depths[candidate.anchor_ids0][tri.valid0]
+        vo_b = kf_b.depths[candidate.anchor_ids1][tri.valid1]
+        if vo_a.size == 0 or vo_b.size == 0:
+            raise TooFewDepthsError("no valid depths on one side of the candidate pair")
+    with _staged("sim3"):
+        scale_a = estimate_scale(vo_a, tri.depths0[tri.valid0], ratio_bound)
+        scale_b = estimate_scale(vo_b, tri.depths1[tri.valid1], ratio_bound)
+        cam = build_sim3(report.pose, scale_a, scale_b, inlier_threshold)
     world = (Sim3Transform.from_se3(kf_a.pose)
              .compose(cam)
              .compose(Sim3Transform.from_se3(kf_b.pose).inverse()))

@@ -10,6 +10,7 @@ range of 1 to 4 baseline units.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,10 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1)")
-        if self.gaussian_sigma < 0.0:
-            raise ValueError("noise magnitudes must be non-negative")
+        if not 0.0 <= self.gaussian_sigma < math.inf:
+            raise ValueError(f"gaussian_sigma must be finite and >= 0, got {self.gaussian_sigma}")
+        if not 0.0 <= self.outlier_weight <= 1.0:
+            raise ValueError(f"outlier_weight must lie in [0, 1], got {self.outlier_weight}")
 
 
 def _look_at(center, target, up, roll_rng=None):
@@ -101,6 +104,8 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
     """
     if n_points < 8:
         raise ValueError("need at least 8 points")
+    if not 0.0 < baseline < math.inf:
+        raise ValueError(f"baseline must be finite and positive, got {baseline}")
     noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
     k = DEFAULT_INTRINSICS

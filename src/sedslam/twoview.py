@@ -15,9 +15,9 @@ are clamped onto their epipolar lines.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     AmbiguityError,
     InsufficientMatchesError,
     RankDeficiencyError,
-    SedSlamError,
+    _staged,
 )
 from .geom import (
     LINE_EPS,
@@ -108,6 +108,19 @@ class AnchorMatchSet:
     def with_matches(self, matches0, matches1) -> "AnchorMatchSet":
         return replace(self, matches0=matches0, matches1=matches1)
 
+    @cached_property
+    def _rows(self):
+        """Read-only SED row table, built on first use: per direction (frame-0 anchors
+        first) the anchor rays and match-frame K^-T, then all matches and sqrt weights."""
+        rows = ((calibrated_rays(self.anchors0, self.intrinsics0),
+                 calibrated_rays(self.anchors1, self.intrinsics1)),
+                (self.intrinsics1.inv_matrix().T, self.intrinsics0.inv_matrix().T),
+                np.concatenate([self.matches0, self.matches1]),
+                np.sqrt(np.concatenate([self.weights0, self.weights1])))
+        for a in (*rows[0], *rows[1], *rows[2:]):
+            a.flags.writeable = False
+        return rows
+
 
 @dataclass
 class SedSolveReport:
@@ -168,10 +181,8 @@ def weighted_eight_point(mset: AnchorMatchSet) -> np.ndarray:
     projects the result to rank 2 and returns it with unit Frobenius norm,
     in the coordinate units the set is expressed in.
     """
-    rows = np.concatenate([
-        _design_rows(mset.anchors0, mset.matches0),
-        _design_rows(mset.matches1, mset.anchors1),
-    ])
+    rows = _design_rows(np.concatenate([mset.anchors0, mset.matches1]),
+                        np.concatenate([mset.matches0, mset.anchors1]))
     w = np.concatenate([mset.weights0, mset.weights1])
     usable = w > 0.0
     if int(np.sum(usable)) < 8:
@@ -209,14 +220,6 @@ def decompose_essential(e) -> list[RelativePose]:
             RelativePose(r1, -t), RelativePose(r2, -t)]
 
 
-def _direction(mset: AnchorMatchSet, forward: bool):
-    """(anchors, matches, weights, anchor-frame K, match-frame K) of one
-    direction: frame-0 anchors matched in frame 1, or the reverse."""
-    if forward:
-        return mset.anchors0, mset.matches0, mset.weights0, mset.intrinsics0, mset.intrinsics1
-    return mset.anchors1, mset.matches1, mset.weights1, mset.intrinsics1, mset.intrinsics0
-
-
 def front_depths(pose: RelativePose, mset: AnchorMatchSet):
     """Unit-baseline depths of every anchor and masks of those in front.
 
@@ -227,9 +230,10 @@ def front_depths(pose: RelativePose, mset: AnchorMatchSet):
     depths1, front1); a direction without anchors gives empty arrays.
     """
     out = []
-    for p, forward in ((pose, True), (pose.inverse(), False)):
-        anchors, matches, _, ka, kb = _direction(mset, forward)
-        d1, d2, valid = triangulate_batch(p, anchors, matches, ka, kb)
+    k0, k1 = mset.intrinsics0, mset.intrinsics1
+    for args in ((pose, mset.anchors0, mset.matches0, k0, k1),
+                 (pose.inverse(), mset.anchors1, mset.matches1, k1, k0)):
+        d1, d2, valid = triangulate_batch(*args)
         out += [d1, valid & (d1 > 0.0) & (d2 > 0.0)]
     return tuple(out)
 
@@ -260,40 +264,34 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
 _GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
 
 
-def _epipolar(rot, t, mset: AnchorMatchSet, forward: bool):
-    """Epipolar lines of one direction's anchors and the errors of its matches.
+def _epipolar(rot, t, mset: AnchorMatchSet):
+    """Epipolar lines of the anchors and errors of the matches of every row.
 
-    The forward direction scores frame-0 anchors against their frame-1
-    matches with E = [t]x R; the reverse direction uses E = Rᵀ [t]x, which
-    generates the same lines as the inverse pose up to an overall sign the
-    error function is invariant to. Returns (rays, kb_invt, weights, lines,
-    d, zeta, matches, good, err): calibrated anchor rays, the match frame's
-    K^-T, the weights, the lines, l_x^2 + l_y^2 (1 on degenerate lines),
-    l . [m; 1], the matches, the non-degenerate mask and the error vectors.
+    Frame-0 anchors use E = [t]x R and frame-1 anchors E = Rᵀ [t]x, the
+    inverse pose's E up to a sign the error function is invariant to.
+    Returns (lines, d, zeta, good, err): the lines, l_x^2 + l_y^2 (1 on
+    degenerate lines), l . [m; 1], the non-degenerate mask and the errors.
     """
-    anchors, matches, w, ka, kb = _direction(mset, forward)
-    e = skew(t) @ rot if forward else rot.T @ skew(t)
-    kb_invt = kb.inv_matrix().T
-    rays = calibrated_rays(anchors, ka)
-    lines = rays @ (kb_invt @ e).T
+    rays, k_invt, matches, _ = mset._rows
+    tx = skew(t)
+    lines = np.concatenate([x @ (k @ e).T for x, k, e in zip(rays, k_invt, (tx @ rot, rot.T @ tx))])
     lx, ly, lz = lines[:, 0], lines[:, 1], lines[:, 2]
     d = lx * lx + ly * ly
     good = d > LINE_EPS
     d = np.where(good, d, 1.0)
     zeta = lx * matches[:, 0] + ly * matches[:, 1] + lz
     err = (zeta / d)[:, None] * lines[:, :2]
-    return rays, kb_invt, w, lines, d, zeta, matches, good, err
+    return lines, d, zeta, good, err
 
 
-def _direction_terms(rot, t, mset: AnchorMatchSet, forward: bool, with_jacobian: bool):
-    """Residuals (and Jacobians) of one SED direction.
-
-    Jacobians are taken w.r.t. the forward update (xi_R, xi_t) at identity
-    in both directions.
-    """
-    x, kb_invt, w, lines, d, zeta, matches, good, err = _epipolar(rot, t, mset, forward)
+def _sed_terms(pose: RelativePose, mset: AnchorMatchSet, with_jacobian: bool = False):
+    """Residuals (and Jacobians w.r.t. the forward update (xi_R, xi_t) at
+    identity) of the non-degenerate rows, frame-0 anchors first, and the
+    number of degenerate rows skipped."""
+    rot, t = pose.rotation, pose.translation_dir
+    rays, k_invt, matches, sw = mset._rows
+    lines, d, zeta, good, err = _epipolar(rot, t, mset)
     n_skipped = int(np.sum(~good))
-    sw = np.sqrt(w)
     res = (sw[:, None] * err)[good]
     if not with_jacobian:
         return res, None, n_skipped
@@ -303,7 +301,7 @@ def _direction_terms(rot, t, mset: AnchorMatchSet, forward: bool, with_jacobian:
     mx, my = matches[:, 0], matches[:, 1]
     inv_d = 1.0 / d
     inv_d2 = inv_d * inv_d
-    j_l = np.empty((len(x), 2, 3))
+    j_l = np.empty((len(lines), 2, 3))
     j_l[:, 0, 0] = -2.0 * lx * lx * zeta * inv_d2 + lx * mx * inv_d + zeta * inv_d
     j_l[:, 0, 1] = -2.0 * lx * ly * zeta * inv_d2 + lx * my * inv_d
     j_l[:, 0, 2] = lx * inv_d
@@ -311,32 +309,19 @@ def _direction_terms(rot, t, mset: AnchorMatchSet, forward: bool, with_jacobian:
     j_l[:, 1, 1] = -2.0 * ly * ly * zeta * inv_d2 + ly * my * inv_d + zeta * inv_d
     j_l[:, 1, 2] = ly * inv_d
 
-    # d E / d xi for the six local parameters (rotation first, then t).
+    # d E / d xi of both directions (rotation first, then t), then d l / d xi as
+    # C-ordered rows (n, 6, 3) whichever side is empty: einsum rounds by layout.
     tx = skew(t)
-    d_e = np.empty((6, 3, 3))
-    for p in range(3):
-        gen = _GEN[p]
+    d_e = np.empty((2, 6, 3, 3))
+    for p, gen in enumerate(_GEN):
         gt_vec = skew(gen @ t)
-        if forward:
-            d_e[p] = tx @ gen @ rot
-            d_e[3 + p] = gt_vec @ rot
-        else:
-            d_e[p] = -rot.T @ gen @ tx
-            d_e[3 + p] = rot.T @ gt_vec
-    b = kb_invt @ d_e  # (6, 3, 3) premultiplied by the calibration
-    d_lines = np.einsum("pij,nj->nip", b, x)
-    jac = np.einsum("nij,njp->nip", j_l, d_lines)
+        d_e[:, p] = tx @ gen @ rot, -rot.T @ gen @ tx
+        d_e[:, 3 + p] = gt_vec @ rot, rot.T @ gt_vec
+    d_lines = np.concatenate([np.einsum("pij,nj->npi", k @ de, x)
+                              for x, k, de in zip(rays, k_invt, d_e)])
+    jac = np.einsum("nij,npj->nip", j_l, d_lines)
     jac = (sw[:, None, None] * jac)[good]
     return res, jac, n_skipped
-
-
-def _sed_terms(pose: RelativePose, mset: AnchorMatchSet, with_jacobian: bool = False):
-    rot, t = pose.rotation, pose.translation_dir
-    r0, j0, s0 = _direction_terms(rot, t, mset, True, with_jacobian)
-    r1, j1, s1 = _direction_terms(rot, t, mset, False, with_jacobian)
-    res = np.concatenate([r0, r1])
-    jac = np.concatenate([j0, j1]) if with_jacobian else None
-    return res, jac, s0 + s1
 
 
 def _evaluate(pose: RelativePose, mset: AnchorMatchSet):
@@ -402,22 +387,10 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
     Matches on degenerate lines are left unchanged. Clamping is a projection
     and therefore idempotent.
     """
-    new_matches = []
-    for forward in (True, False):
-        *_, matches, good, err = _epipolar(pose.rotation, pose.translation_dir, mset, forward)
-        new_matches.append(np.where(good[:, None], matches - err, matches))
-    return mset.with_matches(*new_matches)
-
-
-@contextlib.contextmanager
-def _staged(stage):
-    """Tag a :class:`SedSlamError` raised inside with ``stage`` unless it has one."""
-    try:
-        yield
-    except SedSlamError as exc:
-        if exc.stage is None:
-            exc.stage = stage
-        raise
+    rays, _, matches, _ = mset._rows
+    *_, good, err = _epipolar(pose.rotation, pose.translation_dir, mset)
+    new = np.where(good[:, None], matches - err, matches)
+    return mset.with_matches(*np.split(new, [len(rays[0])]))
 
 
 def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:

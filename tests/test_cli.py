@@ -313,6 +313,24 @@ class TestSynthCommand:
         n_down = int(np.sum(mset.weights0 == 0.01) + np.sum(mset.weights1 == 0.01))
         assert n_down == int(np.floor(0.3 * 96))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--outliers", "0.3", "--outlier-weight", "1e-10"], "prints as 0.000000000"),
+        (["--outliers", "0.3", "--outlier-weight", "0"], "prints as 0.000000000"),
+        (["--outlier-weight", "nan"], "outlier_weight must lie in [0, 1]"),
+        (["--sigma", "nan"], "gaussian_sigma must be finite and >= 0"),
+        (["--sigma", "inf"], "gaussian_sigma must be finite and >= 0"),
+        (["--baseline", "0"], "baseline must be finite and positive"),
+        (["--baseline", "nan"], "baseline must be finite and positive"),
+        (["--baseline", "-1"], "baseline must be finite and positive"),
+    ])
+    def test_two_view_rejects_bad_input_and_writes_nothing(self, tmp_path, capsys, flags,
+                                                          message):
+        m = tmp_path / "m.txt"
+        g = tmp_path / "g.json"
+        assert main(["synth", "two-view", *flags, "--out", str(m), "--gt-json", str(g)]) == 1
+        assert message in capsys.readouterr().err
+        assert not m.exists() and not g.exists()
+
     def test_traj_pair_deterministic(self, tmp_path, capsys):
         d1 = tmp_path / "p1"
         d2 = tmp_path / "p2"

@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ class TestMatchFile:
             read_match_file(path)
         assert "line 4" in str(exc.value)
         assert "1.5" in str(exc.value)
+
+    @pytest.mark.parametrize("weight", [0.0, 1e-10, 4.9e-10])
+    def test_write_refuses_weight_printed_as_zero(self, tmp_path, weight):
+        mset, _ = make_two_view(7, 16)
+        w1 = mset.weights1.copy()
+        w1[2] = weight
+        path = tmp_path / "m.txt"
+        message = f"frame-1 weight {weight} prints as 0.000000000, outside"
+        with pytest.raises(ValueError, match=message):
+            write_match_file(path, replace(mset, weights1=w1))
+        assert not path.exists()
+
+    def test_smallest_printable_weight_reads_back(self, tmp_path):
+        mset, _ = make_two_view(7, 16)
+        w0 = mset.weights0.copy()
+        w0[0] = 5e-10
+        path = tmp_path / "m.txt"
+        write_match_file(path, replace(mset, weights0=w0))
+        assert read_match_file(path).weights0[0] == 1e-9
 
     def test_coordinates_outside_bounds(self, tmp_path):
         path = tmp_path / "bad.txt"

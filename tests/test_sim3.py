@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_scale
 
-from sedslam.errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError
+from sedslam.errors import (
+    InsufficientInliersError,
+    InsufficientMatchesError,
+    RankDeficiencyError,
+    TimestampCollisionError,
+    TooFewDepthsError,
+)
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_angle, so3_exp
 from sedslam.metrics import ate_rmse
 from sedslam.sim3 import (
@@ -393,6 +399,53 @@ class TestJoinPipeline:
             reference = gt_merged_trajectory(pair)
             ate = ate_rmse(merged, reference, mode="sim3", max_dt=1e-6)
             assert ate < 0.01 * scene_diameter(reference)
+
+    @staticmethod
+    def _one_sided(cand, n):
+        """The candidate cut to its first ``n`` frame-0 anchors and no frame-1 anchors."""
+        m = cand.matches
+        none = np.zeros((0, 2))
+        mset = AnchorMatchSet(m.anchors0[:n], m.matches0[:n], m.weights0[:n], none, none,
+                              np.zeros(0), m.intrinsics0, m.intrinsics1, m.size0, m.size1)
+        return JoinCandidate(cand.frame_a, cand.frame_b, mset, cand.anchor_ids0[:n],
+                             cand.anchor_ids1[:0])
+
+    @pytest.mark.parametrize("n, error, stage, message", [
+        (7, InsufficientMatchesError, "two_view", "need at least 8 usable"),
+        (9, TooFewDepthsError, "triangulate", "only 9 valid triangulated depths"),
+        (20, TooFewDepthsError, "triangulate", "no valid depths on one side"),
+    ])
+    def test_error_names_its_stage(self, n, error, stage, message):
+        pair = make_trajectory_pair(3)
+        cand = self._one_sided(build_join_candidate(pair, *pair.pairs[0]), n)
+        with pytest.raises(error, match=message) as exc_info:
+            estimate_join(pair.traj_a, pair.traj_b, cand)
+        assert exc_info.value.stage == stage
+
+    def test_two_view_sub_stage_is_kept(self):
+        # Eight copies of one correspondence: the 8-point design has rank 1.
+        none = np.zeros((0, 2))
+        mset = AnchorMatchSet(np.full((8, 2), 100.0), np.full((8, 2), 200.0), np.ones(8),
+                              none, none, np.zeros(0), K, K, SIZE, SIZE)
+        pair = make_trajectory_pair(3)
+        cand = JoinCandidate(0, 0, mset, np.arange(8), np.arange(0))
+        with pytest.raises(RankDeficiencyError) as exc_info:
+            estimate_join(pair.traj_a, pair.traj_b, cand)
+        assert exc_info.value.stage == "eight_point"
+
+    def test_scale_vote_failure_names_sim3_stage(self):
+        pair = make_trajectory_pair(3)
+        ia, ib = pair.pairs[0]
+        cand = build_join_candidate(pair, ia, ib)
+        # Map depths spread over five decades leave the vote almost no inliers.
+        kfs = list(pair.traj_a.keyframes)
+        rng = np.random.default_rng(0)
+        kfs[ia] = Keyframe(kfs[ia].timestamp, kfs[ia].pose,
+                           np.exp(rng.uniform(-6.0, 6.0, len(kfs[ia].depths))))
+        with pytest.raises(InsufficientInliersError) as exc_info:
+            estimate_join(Trajectory(tuple(kfs)), pair.traj_b, cand)
+        assert exc_info.value.stage == "sim3"
+        assert str(exc_info.value).startswith("sim3: scale voting inlier fractions")
 
     def test_sim3_inverse_round_trip_on_trajectory(self):
         traj = TestMerge()._simple_trajectory(0.0, n=8, seed=10)

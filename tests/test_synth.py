@@ -55,6 +55,11 @@ class TestMakeTwoView:
         with pytest.raises(ValueError):
             make_two_view(0, 4)
 
+    @pytest.mark.parametrize("baseline", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_baseline(self, baseline):
+        with pytest.raises(ValueError, match="baseline must be finite and positive"):
+            make_two_view(0, baseline=baseline)
+
 
 class TestMakeBaGraph:
     def test_deterministic(self):
@@ -137,6 +142,18 @@ class TestNoiseModel:
             NoiseModel(outlier_fraction=1.2)
         with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma=-0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gaussian_sigma": np.nan}, "gaussian_sigma must be finite and >= 0"),
+        ({"gaussian_sigma": np.inf}, "gaussian_sigma must be finite and >= 0"),
+        ({"outlier_weight": np.nan}, r"outlier_weight must lie in \[0, 1\]"),
+        ({"outlier_weight": -0.5}, r"outlier_weight must lie in \[0, 1\]"),
+        ({"outlier_weight": 1.5}, r"outlier_weight must lie in \[0, 1\]"),
+        ({"outlier_fraction": np.nan}, r"outlier_fraction must lie in \[0, 1\)"),
+    ])
+    def test_rejects_non_finite_or_out_of_range_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(**kwargs)
 
     def test_uniform_policy_keeps_unit_weights(self):
         noise = NoiseModel(outlier_fraction=0.3, outlier_weight=1.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import epipolar_line, point_line_error, select_by_ground_truth
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import epipolar_line, is_degenerate_line, point_line_error, select_by_ground_truth
 
 from sedslam import twoview
 from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
@@ -406,6 +408,67 @@ class TestClamp:
         twice = clamp_to_epipolar(once, pose)
         assert np.max(np.abs(once.matches0 - twice.matches0)) < 1e-9
         assert np.max(np.abs(once.matches1 - twice.matches1)) < 1e-9
+
+    def test_clamped_set_is_scored_with_its_own_rows(self):
+        mset, gt = make_two_view(28, 32, noise=NoiseModel(gaussian_sigma=2.0))
+        pose = perturb_pose(gt, 1.0, np.random.default_rng(4))
+        assert sed_cost(pose, mset) > 1.0  # builds the row table of mset
+        assert sed_cost(pose, clamp_to_epipolar(mset, pose)) < 1e-20
+
+    def test_row_table_is_cached_and_read_only(self):
+        mset, _ = make_two_view(28, 32)
+        rows = mset._rows
+        assert mset._rows is rows
+        arrays = (*rows[0], *rows[1], *rows[2:])
+        assert len(arrays) == 6
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+@st.composite
+def _scored_set(draw):
+    """A pose and a set with random calibrations, zero weights, possibly empty
+    directions, and optionally one anchor placed on its frame's epipole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cams = [Intrinsics(*rng.uniform(100, 600, 2), *rng.uniform(200, 300, 2)) for _ in range(2)]
+    t = rng.normal(size=3)
+    pose = RelativePose(so3_exp(rng.normal(size=3)), t / np.linalg.norm(t))
+    sides = []
+    for n in (draw(st.integers(0, 6)), draw(st.integers(0, 6))):
+        live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sides.append([rng.uniform(0, 512, (n, 2)), rng.uniform(0, 512, (n, 2)),
+                      rng.uniform(0.05, 1.0, n) * np.array(live, dtype=float)])
+    on_epipole = draw(st.sampled_from([None, 0, 1]))
+    if on_epipole is not None and len(sides[on_epipole][0]):
+        p = pose if on_epipole == 0 else pose.inverse()
+        # Image of the other camera's center, whose epipolar line is degenerate.
+        e = cams[on_epipole].matrix() @ (-p.rotation.T @ p.translation_dir)
+        sides[on_epipole][0][0] = e[:2] / e[2]
+    return pose, AnchorMatchSet(*sides[0], *sides[1], *cams, SIZE, SIZE)
+
+
+@settings(max_examples=200)
+@given(case=_scored_set())
+def test_residual_rows_equal_scalar_oracle(case):
+    pose, mset = case
+    expected, n_degenerate = [], 0
+    for p, anchors, matches, weights, ka, kb in (
+            (pose, mset.anchors0, mset.matches0, mset.weights0, mset.intrinsics0, mset.intrinsics1),
+            (pose.inverse(), mset.anchors1, mset.matches1, mset.weights1, mset.intrinsics1,
+             mset.intrinsics0)):
+        for a, m, w in zip(anchors, matches, weights):
+            line = epipolar_line(a, p, ka, kb)
+            if is_degenerate_line(line):
+                n_degenerate += 1
+            else:
+                expected.append(np.sqrt(w) * point_line_error(m, line))
+    expected = np.array(expected).reshape(-1, 2)
+    res, jac = sed_jacobian(pose, mset)
+    assert res.shape == expected.shape and jac.shape == (len(expected), 2, 6)
+    scale = np.maximum(1.0, np.linalg.norm(expected, axis=1, keepdims=True))
+    assert np.all(np.abs(res - expected) <= 1e-12 * scale)
+    assert lm_refine_sed(pose, mset, max_iters=0).n_degenerate == n_degenerate
 
 
 class TestSolveTwoView:
