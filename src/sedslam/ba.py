@@ -8,7 +8,8 @@ with Levenberg-Marquardt over local se(3) pose updates and inverse depths.
 The gauge is fixed by freezing the first pose and renormalizing the mean
 log-depth (an exact cost-invariant transformation) after every accepted
 step; depths are eliminated first through a Schur complement since they are
-scalar blocks.
+scalar blocks. The scatter layout is built once per solve, and each edge's
+pose blocks are summed over its rows first (Agarwal et al., ECCV 2010).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class BaReport:
 
 
 class _Observations(NamedTuple):
-    """One row per (edge, owner anchor)."""
+    """One row per (edge, owner anchor), in edge order, and the scatter layout."""
 
     i: np.ndarray  # owner frame
     j: np.ndarray  # target frame
@@ -106,6 +107,10 @@ class _Observations(NamedTuple):
     weights: np.ndarray
     rays: np.ndarray  # calibrated anchor rays K_i^-1 (a, 1)
     cams: np.ndarray  # target camera (fx, fy, cx, cy)
+    starts: np.ndarray  # first row of every edge that has rows
+    pp: np.ndarray  # flat h_pp positions, (4, 6, 6, edge): (i,i), (j,j), (i,j), (j,i)
+    gp: np.ndarray  # flat g_p positions, (2, 6, edge): frames i, j
+    pd: np.ndarray  # flat h_pd positions, (2, 6, row): frames i, j
 
 
 def _observations(graph) -> _Observations:
@@ -113,14 +118,21 @@ def _observations(graph) -> _Observations:
     offsets = np.cumsum([0] + [len(a) for a in graph.anchors])
     rays = np.concatenate([calibrated_rays(a, k) for a, k in zip(graph.anchors, graph.intrinsics)])
     cams = np.array([(k.fx, k.fy, k.cx, k.cy) for k in graph.intrinsics])
-    counts = [len(e.matches) for e in graph.edges]
-    i = np.repeat(np.array([e.i for e in graph.edges], dtype=int), counts)
-    j = np.repeat(np.array([e.j for e in graph.edges], dtype=int), counts)
-    d = np.concatenate([offsets[e.i] + np.arange(n) for e, n in zip(graph.edges, counts)]
-                       + [np.zeros(0, dtype=int)])
+    counts = np.array([len(e.matches) for e in graph.edges], dtype=int)
+    edge_i, edge_j = np.array([(e.i, e.j) for e in graph.edges], dtype=int).reshape(-1, 2).T
+    i, j = np.repeat(edge_i, counts), np.repeat(edge_j, counts)
+    first = np.cumsum(counts) - counts
+    d = offsets[i] + np.arange(len(i)) - np.repeat(first, counts)
     matches = np.concatenate([e.matches for e in graph.edges] + [np.zeros((0, 2))])
     weights = np.concatenate([e.weights for e in graph.edges] + [np.zeros(0)])
-    return _Observations(i, j, d, matches, weights, rays[d], cams[j])
+    # An edge without rows has no segment to sum, so it is left out.
+    has_rows, col, n_pose = counts > 0, np.arange(6)[:, None], 6 * graph.n_frames
+    own, tgt = 6 * edge_i[has_rows] + col, 6 * edge_j[has_rows] + col
+    rows, cols = np.stack([own, tgt, own, tgt]), np.stack([own, tgt, tgt, own])
+    pd = np.stack([6 * i + col, 6 * j + col]) * len(rays) + d
+    return _Observations(i, j, d, matches, weights, rays[d], cams[j], first[has_rows],
+                         (rows[:, :, None] * n_pose + cols[:, None]).ravel(),
+                         np.stack([own, tgt]).ravel(), pd.ravel())
 
 
 def _state(graph):
@@ -161,51 +173,41 @@ def ba_cost(graph: FactorGraph) -> float:
     return _evaluate(_observations(graph), *_state(graph))[0]
 
 
-def _scatter(index, values, size):
-    """Sum ``values`` into a zero vector of length ``size`` at ``index``."""
-    return np.bincount(index.ravel(), values.ravel(), minlength=size)
-
-
 def _assemble(obs, poses, depths):
     """Undamped normal equations (h_pp, h_pd, h_dd, g_p, g_d).
 
     Pose parameters are (omega, v) of a left-multiplied update with frame 0
     frozen; depth parameters are inverse depths, whose block h_dd is
-    diagonal. Terms are summed over all frames, then frame 0 is sliced off.
+    diagonal. Each edge's pose blocks JᵀJ and Jᵀr are summed over its rows
+    before the scatter. Terms cover all frames, then frame 0 is sliced off.
     """
     rot, trans = poses
     y, q, z, ok, pixels = _project(obs, poses, depths)
     sw = np.sqrt(obs.weights * ok)
-    dpi = np.zeros((len(z), 2, 3))
-    dpi[:, 0, 0] = obs.cams[:, 0] / z
-    dpi[:, 1, 1] = obs.cams[:, 1] / z
-    dpi[:, :, 2] = -obs.cams[:, :2] * q[:, :2] / (z * z)[:, None]
-    # Chain rule through the world point y: d pixel / d y = dpi Rjᵀ,
-    # d y / d xi_i = [-[y]x | I] and d y / d rho = -(y - t_i) d for inverse
-    # depth rho = 1/d. The target-pose Jacobian is the negative of the owner's.
-    j_y = np.einsum("nac,nbc->nab", dpi, rot[obs.j]) * sw[:, None, None]
-    j_i = np.concatenate([np.cross(y[:, None, :], j_y), j_y], axis=2)
-    j_d = np.einsum("nab,nb->na", j_y, -(y - trans[obs.i]) * depths[obs.d, None])
-    rw = (pixels - obs.matches) * sw[:, None]
-
-    # Pose columns of each row's owner and target frames among all frames;
-    # every target block is the owner block with its sign flipped.
+    # Chain rule through the world point y: d pixel / d y = dpi Rjᵀ, where dpi has
+    # diagonal f / z and last column -f q / z², f = (fx, fy); d y / d xi_i = [-[y]x | I]
+    # and d y / d rho = -(y - t_i) d for rho = 1/d. The target pose gets minus the owner's.
+    f = np.ascontiguousarray(obs.cams[:, :2].T)
+    dpi_xy, dpi_z = f / z, -f * np.ascontiguousarray(q[:, :2].T) / (z * z)
+    r_j = rot.transpose(1, 2, 0)[:, :, obs.j]
+    # Parameter-major, so products run along rows: pose 0-5, inverse depth 6, residual 7.
+    jac = np.empty((8, 2, len(z)))
+    jac[3:6] = (dpi_xy * r_j[:, :2] + dpi_z * r_j[:, 2:]) * sw
+    jac[0] = y[:, 1] * jac[5] - y[:, 2] * jac[4]
+    jac[1] = y[:, 2] * jac[3] - y[:, 0] * jac[5]
+    jac[2] = y[:, 0] * jac[4] - y[:, 1] * jac[3]
+    jac[6] = np.einsum("ban,nb->an", jac[3:6], (trans[obs.i] - y) * depths[obs.d, None])
+    jac[7] = (pixels - obs.matches).T * sw
     n_pose, n_depth = 6 * len(rot), len(depths)
-    own = 6 * obs.i[:, None] + np.arange(6)
-    tgt = 6 * obs.j[:, None] + np.arange(6)
-    both = np.concatenate([own, tgt])
-    jj = np.einsum("nap,naq->npq", j_i, j_i)
-    h_pp = _scatter(np.concatenate([own, tgt, own, tgt])[:, :, None] * n_pose
-                    + np.concatenate([own, tgt, tgt, own])[:, None, :],
-                    np.concatenate([jj, jj, -jj, -jj]), n_pose * n_pose).reshape(n_pose, -1)
-    jd = np.einsum("nap,na->np", j_i, j_d)
-    h_pd = _scatter(both * n_depth + np.tile(obs.d, 2)[:, None], np.concatenate([jd, -jd]),
-                    n_pose * n_depth).reshape(n_pose, -1)
-    jr = np.einsum("nap,na->np", j_i, rw)
-    g_p = _scatter(both, np.concatenate([jr, -jr]), n_pose)
-    h_dd = _scatter(obs.d, np.sum(j_d * j_d, axis=1), n_depth)
-    g_d = _scatter(obs.d, np.sum(j_d * rw, axis=1), n_depth)
-    return h_pp[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
+    prod = np.einsum("pan,qan->pqn", jac[:7], jac)
+    edge = np.add.reduceat(prod[:6], obs.starts, axis=2)
+    jj, jr, jd = edge[:, :6], edge[:, 7], prod[:6, 6]
+    h_pp = np.bincount(obs.pp, np.stack([jj, jj, -jj, -jj]).ravel(), n_pose * n_pose)
+    h_pd = np.bincount(obs.pd, np.stack([jd, -jd]).ravel(), n_pose * n_depth).reshape(n_pose, -1)
+    g_p = np.bincount(obs.gp, np.stack([jr, -jr]).ravel(), n_pose)
+    h_dd = np.bincount(obs.d, prod[6, 6], n_depth)
+    g_d = np.bincount(obs.d, prod[6, 7], n_depth)
+    return h_pp.reshape(n_pose, -1)[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
 
 
 def _damped_schur_solve(system, lam):
@@ -213,16 +215,14 @@ def _damped_schur_solve(system, lam):
     depth block eliminated through its Schur complement; None when the
     reduced camera system fails to factor."""
     h_pp, h_pd, h_dd, g_p, g_d = system
-    b_p = -g_p
-    b_d = -g_d
     inv_dd = 1.0 / (h_dd + lam)
     schur = h_pp + lam * np.eye(len(g_p)) - (h_pd * inv_dd) @ h_pd.T
-    rhs = b_p - h_pd @ (inv_dd * b_d)
+    rhs = h_pd @ (inv_dd * g_d) - g_p
     try:
         pose_step = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError:
         return None
-    depth_step = inv_dd * (b_d - h_pd.T @ pose_step)
+    depth_step = -inv_dd * (g_d + h_pd.T @ pose_step)
     return np.concatenate([pose_step, depth_step])
 
 

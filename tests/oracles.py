@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from sedslam.ba import _project
 from sedslam.errors import BehindCameraError, SedSlamError, TrajectoryFileError
 from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, backproject,
                           essential_from_pose, fundamental_from_essential, project,
@@ -73,6 +74,44 @@ def reprojection_residual(graph, edge_index: int, k: int) -> np.ndarray:
         raise BehindCameraError(
             f"anchor {k} of edge {edge_index} reprojects behind camera {edge.j}")
     return project(q, graph.intrinsics[edge.j]) - edge.matches[k]
+
+
+def _scatter(index, values, size):
+    """Sum ``values`` into a zero vector of length ``size`` at ``index``."""
+    return np.bincount(index.ravel(), values.ravel(), minlength=size)
+
+
+def assemble_rows(obs, poses, depths):
+    """BA normal equations (h_pp, h_pd, h_dd, g_p, g_d) scattered row by row:
+    every observation row adds its own 4 × 36 h_pp and 2 × 6 g_p entries."""
+    rot, trans = poses
+    y, q, z, ok, pixels = _project(obs, poses, depths)
+    sw = np.sqrt(obs.weights * ok)
+    dpi = np.zeros((len(z), 2, 3))
+    dpi[:, 0, 0] = obs.cams[:, 0] / z
+    dpi[:, 1, 1] = obs.cams[:, 1] / z
+    dpi[:, :, 2] = -obs.cams[:, :2] * q[:, :2] / (z * z)[:, None]
+    j_y = np.einsum("nac,nbc->nab", dpi, rot[obs.j]) * sw[:, None, None]
+    j_i = np.concatenate([np.cross(y[:, None, :], j_y), j_y], axis=2)
+    j_d = np.einsum("nab,nb->na", j_y, -(y - trans[obs.i]) * depths[obs.d, None])
+    rw = (pixels - obs.matches) * sw[:, None]
+
+    n_pose, n_depth = 6 * len(rot), len(depths)
+    own = 6 * obs.i[:, None] + np.arange(6)
+    tgt = 6 * obs.j[:, None] + np.arange(6)
+    both = np.concatenate([own, tgt])
+    jj = np.einsum("nap,naq->npq", j_i, j_i)
+    h_pp = _scatter(np.concatenate([own, tgt, own, tgt])[:, :, None] * n_pose
+                    + np.concatenate([own, tgt, tgt, own])[:, None, :],
+                    np.concatenate([jj, jj, -jj, -jj]), n_pose * n_pose).reshape(n_pose, -1)
+    jd = np.einsum("nap,na->np", j_i, j_d)
+    h_pd = _scatter(both * n_depth + np.tile(obs.d, 2)[:, None], np.concatenate([jd, -jd]),
+                    n_pose * n_depth).reshape(n_pose, -1)
+    jr = np.einsum("nap,na->np", j_i, rw)
+    g_p = _scatter(both, np.concatenate([jr, -jr]), n_pose)
+    h_dd = _scatter(obs.d, np.sum(j_d * j_d, axis=1), n_depth)
+    g_d = _scatter(obs.d, np.sum(j_d * rw, axis=1), n_depth)
+    return h_pp[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
 
 
 def select_by_ground_truth(candidates, gt: RelativePose) -> RelativePose:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import reprojection_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import assemble_rows, reprojection_residual
 
 from sedslam import ba
 from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches
@@ -131,6 +133,38 @@ class TestBaSolve:
         assert len(calls) <= 1 + accepted
         assert len(calls) < report.iterations
 
+    def test_graph_without_edges_converges_at_once(self):
+        graph, _, _ = make_ba_graph(15, pose_perturb_deg=2.0, depth_perturb_rel=0.05)
+        graph.edges = []
+        report = ba_solve(graph)
+        assert report.converged
+        assert report.iterations == 1
+
+    def test_frame_without_anchors_converges(self):
+        graph, _, _ = make_ba_graph(16, n_frames=4, n_anchors=60, pose_perturb_deg=2.0,
+                                    pose_perturb_rel=0.02, depth_perturb_rel=0.05)
+        graph.anchors[2], graph.depths[2] = np.zeros((0, 2)), np.zeros(0)
+        graph.edges = [Edge(e.i, e.j, np.zeros((0, 2)), np.zeros(0)) if e.i == 2 else e
+                       for e in graph.edges]
+        report = ba_solve(graph)
+        assert report.converged
+        assert report.final_rmse < 1e-6
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_same_final_cost_as_row_by_row_assembly(self, seed, monkeypatch):
+        def solve(graph):
+            ba_solve(graph)
+            return ba_cost(graph)
+
+        def graph():
+            return make_ba_graph(seed, n_frames=5, n_anchors=60, match_sigma=0.5,
+                                 pose_perturb_deg=1.0, pose_perturb_rel=0.01,
+                                 depth_perturb_rel=0.05)[0]
+
+        fast = solve(graph())
+        monkeypatch.setattr(ba, "_assemble", assemble_rows)
+        assert solve(graph()) == pytest.approx(fast, rel=1e-9)
+
     def test_too_few_frames_or_anchors(self):
         graph, _, _ = make_ba_graph(5)
         with pytest.raises(ValueError):
@@ -176,6 +210,46 @@ class TestAssemble:
         expected = sum(e.weights[k] * np.sum(reprojection_residual(graph, n, k) ** 2)
                        for n, e in enumerate(graph.edges) for k in range(len(e.matches)))
         assert ba_cost(graph) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def _assembly_graphs(draw):
+    """Graphs and points that stress the per-edge sums of the assembly.
+
+    Anchor counts differ per frame and one frame other than 0 has none, so
+    its edges have no rows. The edges repeat a pair, include one into frame
+    0, and the points carry zero weights and rows behind the target camera.
+    """
+    n_frames = draw(st.integers(3, 5))
+    empty = draw(st.integers(1, n_frames - 1))
+    counts = draw(st.lists(st.integers(1, 7), min_size=n_frames, max_size=n_frames))
+    counts[empty] = 0
+    frames = st.integers(0, n_frames - 1)
+    pairs = draw(st.lists(st.tuples(frames, frames).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=8))
+    owner = next(f for f in range(1, n_frames) if f != empty)
+    pairs += [pairs[0], (owner, 0), (empty, owner)]
+    zero_weight = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    cams = [Intrinsics(*rng.uniform(200.0, 300.0, 4)) for _ in range(n_frames)]
+    poses = [Se3Pose(so3_exp(rng.normal(0.0, 0.6, 3)), rng.normal(0.0, 1.0, 3))
+             for _ in range(n_frames)]
+    anchors = [rng.uniform(0.0, 512.0, (n, 2)) for n in counts]
+    depths = [rng.uniform(0.5, 5.0, n) for n in counts]
+    edges = [Edge(i, j, rng.uniform(0.0, 512.0, (counts[i], 2)),
+                  rng.uniform(0.1, 2.0, counts[i]) * (rng.uniform(size=counts[i]) >= zero_weight))
+             for i, j in pairs]
+    return FactorGraph(poses, cams, anchors, depths, edges)
+
+
+@settings(max_examples=150)
+@given(graph=_assembly_graphs())
+def test_assembly_equals_row_by_row_oracle(graph):
+    obs, x = ba._observations(graph), ba._state(graph)
+    for fast, rows in zip(ba._assemble(obs, *x), assemble_rows(obs, *x)):
+        assert fast.shape == rows.shape
+        assert np.max(np.abs(fast - rows), initial=0.0) <= 1e-12 * np.max(np.abs(rows), initial=0.0)
 
 
 class TestNonFiniteInput:
