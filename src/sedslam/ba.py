@@ -207,7 +207,8 @@ def _assemble(obs, poses, depths):
     g_p = np.bincount(obs.gp, np.stack([jr, -jr]).ravel(), n_pose)
     h_dd = np.bincount(obs.d, prod[6, 6], n_depth)
     g_d = np.bincount(obs.d, prod[6, 7], n_depth)
-    return h_pp.reshape(n_pose, -1)[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
+    blocks = h_pp.reshape(n_pose, -1)[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
+    return tuple(b.astype(float, copy=False) for b in blocks)  # bincount of no rows is int64
 
 
 def _damped_schur_solve(system, lam):

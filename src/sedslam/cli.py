@@ -272,18 +272,12 @@ def main(argv=None) -> int:
     except InsufficientInliersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MatchFileError, TrajectoryFileError, AssociationError) as exc:
+    except (MatchFileError, TrajectoryFileError, AssociationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SedSlamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

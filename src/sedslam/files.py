@@ -74,6 +74,8 @@ def read_match_file(path) -> AnchorMatchSet:
                     raise MatchFileError(f"line {lineno}: {exc}") from exc
                 if fid not in (0, 1):
                     raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
+                if fid in intr:
+                    raise MatchFileError(f"line {lineno}: duplicate intrinsics for frame {fid}")
                 try:
                     intr[fid] = Intrinsics(*vals[:4])
                     sizes[fid] = _as_size(vals[4:])
@@ -114,7 +116,17 @@ def read_match_file(path) -> AnchorMatchSet:
     return AnchorMatchSet(a0, m0, w0, a1, m1, w1, intr[0], intr[1], sizes[0], sizes[1])
 
 
+def _check_stamps(traj: Trajectory) -> None:
+    """Raise ``ValueError`` if two keyframe timestamps print alike."""
+    ts = traj.timestamps().tolist()
+    for a, b in zip(ts, ts[1:]):
+        if timestamp_key(a) == timestamp_key(b):
+            raise ValueError(f"timestamps {a!r} and {b!r} both print as {a:.{TIMESTAMP_DECIMALS}f}")
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
+    """Write ``traj``; timestamps that print alike raise before opening."""
+    _check_stamps(traj)
     lines = ["# timestamp tx ty tz qx qy qz qw"]
     for kf in traj.keyframes:
         t = kf.pose.translation
@@ -126,8 +138,14 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def write_depth_sidecar(path, traj: Trajectory) -> None:
+    """Write the depths of ``traj`` at 9 decimals; timestamps that print
+    alike, or a depth printed as 0, raise before opening."""
+    _check_stamps(traj)
     lines = ["# timestamp anchor_id depth"]
     for kf in traj.keyframes:
+        if kf.depths.size and float(f"{kf.depths.min():.9f}") == 0.0:
+            raise ValueError(f"depth {kf.depths.min()} at timestamp "
+                             f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} prints as 0.000000000")
         for idx, d in enumerate(kf.depths):
             lines.append(f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} {idx} {d:.9f}")
     with open(path, "w") as fh:

@@ -36,13 +36,15 @@ def pose_auc(errors, threshold: float) -> float:
     """Area under the accuracy-vs-threshold curve on [0, threshold], percent.
 
     Exact integral of the empirical CDF of the errors, normalized by the
-    threshold: a single error at threshold/2 scores 50%.
+    threshold: a single error at threshold/2 scores 50%, an infinite one 0%.
     """
     errors = np.asarray(errors, dtype=float).reshape(-1)
     if errors.size == 0:
         raise ValueError("error list must be non-empty")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    if not np.all(errors >= 0.0):  # NaN fails the comparison too
+        raise ValueError("errors must be non-negative and not NaN")
     return float(np.mean(np.clip(threshold - errors, 0.0, threshold)) / threshold * 100.0)
 
 

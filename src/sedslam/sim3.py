@@ -4,10 +4,9 @@ Given a cross-trajectory two-view pose, the translation magnitude and the
 inter-session scale are recovered by depth-ratio voting: for each side,
 every candidate scale ``s = d_k / d'_k`` (map depth over unit-baseline
 triangulated depth) is scored by the number of pairs with
-``1/lam < d_k / (s d'_k) < lam``, and the maximizer wins. The vote counts
-over the sorted candidates, in O(n log n) time and O(n) memory unless many
-ratios crowd a band edge, and returns exactly what scoring every pair
-would. The two per-side
+``1/lam < d_k / (s d'_k) < lam``, and the maximizer wins. The vote bisects
+over the sorted candidates in O(n log n) time and O(n) memory for any input,
+and returns exactly what scoring every pair would. The two per-side
 magnitudes combine with the solved rotation into a similarity transform
 that maps one trajectory into the other's reference frame.
 """
@@ -29,10 +28,6 @@ RATIO_BOUND = 1.05
 INLIER_THRESHOLD = 0.3
 # Minimum number of valid triangulated depths across both sides.
 MIN_VALID_DEPTHS = 10
-# Relative distance from a band edge within which a ratio's side of the edge
-# is decided by the vote's own arithmetic rather than by its sorted position.
-# Rounding moves a ratio by a few ulps (about 1e-15), far inside this margin.
-_EDGE_MARGIN = 1e-9
 # Decimals of every timestamp written to a file; keyframe timestamps must
 # stay distinct at this precision to survive a write and read.
 TIMESTAMP_DECIMALS = 6
@@ -135,14 +130,11 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
     Every candidate ``s = d_k / d'_k`` is scored by how many pairs satisfy
     ``1/ratio_bound < d_j / (s d'_j) < ratio_bound``; the maximizer wins and
     ties break to the smaller s. The result equals that of scoring all n²
-    pairs, bit for bit. The candidates are sorted once, the ratios well
-    inside each band are counted with ``searchsorted``, and only those
-    within ``_EDGE_MARGIN`` of a band edge are re-checked in the arithmetic
-    above, so the vote takes O(n log n) time and O(n) memory unless many
-    ratios sit that close to an edge. A candidate whose band, or whose
-    products with the triangulated depths, leave the normal floating-point
-    range, where rounding has no relative bound, is re-checked against
-    every pair. A depth pair whose ratio leaves that range is rejected.
+    pairs, bit for bit: rounding is monotone, so pair j's rounded ratio never
+    grows with s, even where ``s d'_j`` overflows or underflows, and pair j
+    is an inlier for one run of the sorted candidates. Bisection finds both
+    ends of every run, in O(n log n) time and O(n) memory for any input. A
+    depth pair whose ratio leaves the normal floating-point range is rejected.
     """
     d = np.asarray(map_depths, dtype=float).reshape(-1)
     dp = np.asarray(tri_depths, dtype=float).reshape(-1)
@@ -152,46 +144,29 @@ def estimate_scale(map_depths, tri_depths, ratio_bound: float = RATIO_BOUND) -> 
         raise ValueError(f"ratio bound must be finite and exceed 1, got {ratio_bound}")
     if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(dp) & (dp > 0.0))):
         raise ValueError("depths must be finite and positive")
-    n = d.size
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     with np.errstate(over="ignore", under="ignore"):
         ratio = d / dp
-    outside = ~((ratio >= tiny) & (ratio <= huge))
+    outside = ~((ratio >= np.finfo(float).tiny) & (ratio < np.inf))
     if outside.any():
         k = int(np.argmax(outside))
         raise ValueError(f"map depth {float(d[k])!r} over triangulated depth {float(dp[k])!r} "
                          "gives a ratio outside the normal floating-point range")
-    order = np.argsort(ratio)
-    # Sorted pairs; pair j under candidate s has a ratio of about ratio[j] / s.
-    ratio, d, dp = ratio[order], d[order], dp[order]
-    s = ratio[np.append(True, ratio[1:] != ratio[:-1])]  # equal candidates score alike
-    lo, hi = s / ratio_bound, s * ratio_bound
-    lo_out, lo_in = lo * (1.0 - _EDGE_MARGIN), lo * (1.0 + _EDGE_MARGIN)
-    hi_in, hi_out = hi * (1.0 - _EDGE_MARGIN), hi * (1.0 + _EDGE_MARGIN)
-    outer_lo = np.searchsorted(ratio, lo_out, side="right")
-    inner_lo = np.searchsorted(ratio, lo_in, side="left")
-    inner_hi = np.searchsorted(ratio, hi_in, side="right")
-    outer_hi = np.searchsorted(ratio, hi_out, side="left")
-    normal = ((s * dp.min() >= tiny) & (s * dp.max() <= huge)
-              & (lo_out >= tiny) & (hi_out <= huge))
-    outer_lo[~normal], outer_hi[~normal] = 0, n
-    # An empty inner window (ratio_bound within about 2e-9 of 1, or an
-    # abnormal candidate) leaves the whole outer window to the re-check.
-    empty = ~normal | (inner_hi <= inner_lo)
-    inner_lo[empty] = inner_hi[empty] = outer_hi[empty]
-
-    # Re-check [outer_lo, inner_lo) and [inner_hi, outer_hi) of every
-    # candidate as one flat list of (candidate, pair) indices.
-    starts = np.concatenate([outer_lo, inner_hi])
-    lengths = np.concatenate([inner_lo - outer_lo, outer_hi - inner_hi])
-    cand = np.repeat(np.tile(np.arange(len(s)), 2), lengths)
-    pair = np.arange(len(cand)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    r = d[pair] / (s[cand] * dp[pair])
-    inside = (r > 1.0 / ratio_bound) & (r < ratio_bound)
-    counts = (inner_hi - inner_lo) + np.bincount(cand[inside], minlength=len(s))
+    s = np.sort(ratio)
+    s = s[np.append(True, s[1:] != s[:-1])]  # equal candidates score alike
+    # Padded with inf (ratio 0, never counted) to a power of two above len(s).
+    cand = np.append(s, np.full((1 << len(s).bit_length()) - len(s), np.inf))
+    # Pair j counts for the candidates from end[0, j], the number with
+    # r >= ratio_bound, up to end[1, j], the number with r > 1/ratio_bound.
+    edge = np.array([[ratio_bound], [np.nextafter(1.0 / ratio_bound, np.inf)]])
+    end = np.zeros((2, d.size), dtype=np.intp)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for step in reversed([1 << k for k in range(len(s).bit_length())]):
+            end += step * (d / (cand[end + (step - 1)] * dp) >= edge)
+    counts = np.cumsum(np.bincount(end[0], minlength=len(s) + 1)
+                       - np.bincount(end[1], minlength=len(s) + 1))[:-1]
     best = int(np.argmax(counts))  # first maximum, so the smallest scale
     best_count = int(counts[best])
-    return ScaleEstimate(float(s[best]), best_count, best_count / n)
+    return ScaleEstimate(float(s[best]), best_count, best_count / d.size)
 
 
 def build_sim3(pose: RelativePose, scale_a: ScaleEstimate, scale_b: ScaleEstimate,

@@ -243,6 +243,22 @@ def _assembly_graphs(draw):
     return FactorGraph(poses, cams, anchors, depths, edges)
 
 
+@pytest.mark.parametrize("drop", ["edges", "frame anchors"])
+def test_assembly_without_rows_is_float(drop):
+    graph, _, _ = make_ba_graph(0, n_frames=3, n_anchors=12)
+    if drop == "edges":
+        graph.edges = []
+    else:
+        graph.anchors[1], graph.depths[1] = np.zeros((0, 2)), np.zeros(0)
+        graph.edges = [Edge(e.i, e.j, np.zeros((0, 2)), np.zeros(0)) if e.i == 1 else e
+                       for e in graph.edges]
+    obs, x = ba._observations(graph), ba._state(graph)
+    for fast, rows in zip(ba._assemble(obs, *x), assemble_rows(obs, *x)):
+        assert fast.dtype == np.float64
+        assert fast.shape == rows.shape
+        assert np.max(np.abs(fast - rows), initial=0.0) <= 1e-12 * np.max(np.abs(rows), initial=0.0)
+
+
 @settings(max_examples=150)
 @given(graph=_assembly_graphs())
 def test_assembly_equals_row_by_row_oracle(graph):

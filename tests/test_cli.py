@@ -341,6 +341,14 @@ class TestSynthCommand:
                      "matches.txt", "gt.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_traj_pair_with_depths_printed_as_zero_exits_1(self, tmp_path, capsys):
+        # At scale 1e12 trajectory b's depths are about 1e-12.
+        d = tmp_path / "p"
+        assert main(["synth", "traj-pair", "--seed", "3", "--scale", "1e12",
+                     "--out-dir", str(d)]) == 1
+        assert "prints as 0.000000000" in capsys.readouterr().err
+        assert not (d / "trajB.depths").exists()
+
     def test_traj_pair_fixture_joins(self, tmp_path, capsys):
         d = tmp_path / "p"
         assert main(["synth", "traj-pair", "--seed", "9", "--scale", "2.0",

@@ -107,6 +107,15 @@ class TestMatchFile:
             read_match_file(path)
         assert str(exc.value) == "line 2: image size must be finite and positive"
 
+    def test_duplicate_intrinsics_names_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("intrinsics 0 256 256 256 256 512 512\n"
+                        "intrinsics 1 256 256 256 256 512 512\n"
+                        "intrinsics 0 100 100 10 10 512 512\n"
+                        "0 1 1 2 2 0.5\n")
+        with pytest.raises(MatchFileError, match="^line 3: duplicate intrinsics for frame 0$"):
+            read_match_file(path)
+
     def test_missing_intrinsics(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("intrinsics 0 256 256 256 256 512 512\n0 1 1 2 2 0.5\n")
@@ -202,6 +211,15 @@ class TestTrajectoryFile:
                            match="^timestamps must be strictly increasing at 6 decimals$"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("write", [write_trajectory, write_depth_sidecar])
+    def test_write_refuses_stamps_printed_alike(self, tmp_path, write):
+        traj = Trajectory((Keyframe(1.0000001, Se3Pose.identity(), [1.0]),
+                           Keyframe(1.0000002, Se3Pose.identity(), [1.0])))
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="both print as 1.000000$"):
+            write(path, traj)
+        assert not path.exists()
+
     def test_orphan_sidecar_rows_raise(self, tmp_path):
         tp = tmp_path / "t.txt"
         dp = tmp_path / "t.depths"
@@ -214,6 +232,23 @@ class TestTrajectoryFile:
 
 
 class TestDepthSidecar:
+    @pytest.mark.parametrize("depth", [1e-12, 4.9e-10])
+    def test_write_refuses_depth_printed_as_zero(self, tmp_path, depth):
+        traj = simple_trajectory(n=2)
+        kf = traj.keyframes[1]
+        traj = Trajectory((traj.keyframes[0], replace(kf, depths=[2.0, depth, 1.0])))
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match=f"depth {depth} at timestamp 0.250000 prints as "
+                                             "0.000000000"):
+            write_depth_sidecar(path, traj)
+        assert not path.exists()
+
+    def test_smallest_printable_depth_reads_back(self, tmp_path):
+        traj = Trajectory((Keyframe(0.0, Se3Pose.identity(), [5e-10, 1.0]),))
+        path = tmp_path / "d.txt"
+        write_depth_sidecar(path, traj)
+        assert read_depth_sidecar(path)[0.0][0] == 1e-9
+
     def test_duplicate_anchor_id(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0.0 0 1.0\n0.0 0 2.0\n")

@@ -120,6 +120,7 @@ class TestPoseAuc:
     def test_total_miss(self):
         assert pose_auc([5.0], 5.0) == pytest.approx(0.0)
         assert pose_auc([11.0], 5.0) == pytest.approx(0.0)
+        assert pose_auc([np.inf], 5.0) == 0.0
 
     def test_half_threshold_is_fifty_percent(self):
         assert pose_auc([2.5], 5.0) == pytest.approx(50.0)
@@ -131,8 +132,12 @@ class TestPoseAuc:
         assert all(b >= a - 1e-12 for a, b in zip(aucs, aucs[1:]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pose_auc([], 5.0)
+        # Also a threshold that is not finite and positive, and NaN or
+        # negative errors.
+        for errors, threshold in (([], 5.0), ([1.0], np.nan), ([1.0], np.inf), ([1.0], 0.0),
+                                  ([1.0], -5.0), ([np.nan], 5.0), ([1.0, -3.0], 5.0)):
+            with pytest.raises(ValueError):
+                pose_auc(errors, threshold)
 
 
 class TestAteRmse:

@@ -245,13 +245,24 @@ class TestEstimateScale:
         assert 2.0 / 1.05 < est.scale < 2.0 * 1.05
 
 
+def _ulp_chain(x, steps):
+    """``x`` moved ``steps`` ulps up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else 0.0))
+    return x
+
+
 @st.composite
 def _vote_inputs(draw):
-    ratio_bound = draw(st.sampled_from([1.0 + 1e-12, 1.05, 2.0]))
+    ratio_bound = draw(st.sampled_from([1.0 + 2.0 ** -52, 1.0 + 1e-12, 1.05, 2.0, 1e300]))
     base = draw(st.floats(0.1, 10.0))
-    # Ratios base * ratio_bound**k lie on each other's band edges.
-    on_edge = st.integers(-3, 3).map(lambda k: base * ratio_bound ** k)
-    pool = draw(st.lists(st.tuples(st.one_of(on_edge, st.floats(0.1, 10.0)),
+    # Ratios base * ratio_bound**k lie on each other's band edges; at 1e300
+    # only k in [-1, 1] keeps them finite and normal.
+    k_max = 1 if ratio_bound > 1e100 else 3
+    on_edge = st.integers(-k_max, k_max).map(lambda k: base * ratio_bound ** k)
+    # Ratios packed a few ulps apart crowd the band edges between them.
+    packed = st.tuples(on_edge, st.integers(-4, 4)).map(lambda t: _ulp_chain(*t))
+    pool = draw(st.lists(st.tuples(st.one_of(on_edge, packed, st.floats(0.1, 10.0)),
                                    st.floats(0.3, 6.0)), min_size=1, max_size=12))
     # Drawing pairs from a small pool repeats ratios and ties counts.
     pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
@@ -265,7 +276,29 @@ def _vote_inputs(draw):
 @example(inputs=(np.array([1.0, 1.05, 1.05 ** 2]), np.ones(3), 1.05))
 def test_vote_equals_brute_force(inputs):
     d, dp, ratio_bound = inputs
-    assert estimate_scale(d, dp, ratio_bound) == brute_force_scale(d, dp, ratio_bound)
+    # Scoring every pair at ratio_bound = 1e300 overflows and underflows.
+    with np.errstate(over="ignore", under="ignore"):
+        expected = brute_force_scale(d, dp, ratio_bound)
+    assert estimate_scale(d, dp, ratio_bound) == expected
+
+
+def test_vote_on_crowded_band_edges_stays_linear():
+    # Every ratio lies within 1e-9 of every other's band edge, so a vote that
+    # re-checks the ratios near an edge does n² work here.
+    d = 1.0 + 8.8e-16 * np.arange(2000)
+    dp = np.ones_like(d)
+    ratio_bound = 1.0 + 1e-12
+    tracemalloc.start()
+    try:
+        est = estimate_scale(d, dp, ratio_bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert est.inlier_count == 2000
+    head = slice(0, 400)
+    assert (estimate_scale(d[head], dp[head], ratio_bound)
+            == brute_force_scale(d[head], dp[head], ratio_bound))
 
 
 class TestBuildSim3:
