@@ -161,11 +161,6 @@ def cmd_synth_traj_pair(args) -> int:
     frame_a, frame_b = pair.pairs[0]
     candidate = synth.build_join_candidate(pair, frame_a, frame_b, noise, seed=args.seed)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def path(name):
-        return os.path.join(args.out_dir, name)
-
     # The two join keyframes keep only the covisible anchor subset so the
     # sidecar rows pair positionally with the match-file rows.
     def restrict(traj, frame, ids):
@@ -175,11 +170,6 @@ def cmd_synth_traj_pair(args) -> int:
 
     traj_a = restrict(pair.traj_a, frame_a, candidate.anchor_ids0)
     traj_b = restrict(pair.traj_b, frame_b, candidate.anchor_ids1)
-    files.write_trajectory(path("trajA.txt"), traj_a)
-    files.write_depth_sidecar(path("trajA.depths"), traj_a)
-    files.write_trajectory(path("trajB.txt"), traj_b)
-    files.write_depth_sidecar(path("trajB.depths"), traj_b)
-    files.write_match_file(path("matches.txt"), candidate.matches)
     payload = {
         "seed": args.seed,
         "n_frames": args.n_frames,
@@ -190,7 +180,18 @@ def cmd_synth_traj_pair(args) -> int:
         "frame_b": int(frame_b),
         "sim3_world": files.sim3_to_dict(gt_sim3),
     }
-    files.write_json(path("gt.json"), payload)
+    fixtures = (("trajA.txt", files.write_trajectory, traj_a),
+                ("trajA.depths", files.write_depth_sidecar, traj_a),
+                ("trajB.txt", files.write_trajectory, traj_b),
+                ("trajB.depths", files.write_depth_sidecar, traj_b),
+                ("matches.txt", files.write_match_file, candidate.matches),
+                ("gt.json", files.write_json, payload))
+    # Writers refuse before opening, so a null-device pass checks every fixture first.
+    for _, write, value in fixtures:
+        write(os.devnull, value)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, write, value in fixtures:
+        write(os.path.join(args.out_dir, name), value)
     print(f"wrote fixtures to {args.out_dir} (join pair {frame_a}, {frame_b})")
     return 0
 

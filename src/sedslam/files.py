@@ -38,7 +38,8 @@ _ODD_ID = 2 ** 62
 
 
 def write_match_file(path, mset: AnchorMatchSet) -> None:
-    """Write ``mset`` at 9 decimals; a weight printed outside (0, 1] raises before opening."""
+    """Write ``mset`` at 9 decimals. A weight printed outside (0, 1], or any
+    other printed value that ``read_match_file`` rejects, raises before opening."""
     lines = ["# two-view anchor/match set"]
     for fid, k, size in ((0, mset.intrinsics0, mset.size0), (1, mset.intrinsics1, mset.size1)):
         lines.append(f"intrinsics {fid} {k.fx:.9f} {k.fy:.9f} {k.cx:.9f} {k.cy:.9f} "
@@ -50,70 +51,72 @@ def write_match_file(path, mset: AnchorMatchSet) -> None:
             if not 0.0 < float(printed) <= 1.0:
                 raise ValueError(f"frame-{fid} weight {w} prints as {printed}, outside (0, 1]")
             lines.append(f"{fid} {a[0]:.9f} {a[1]:.9f} {m[0]:.9f} {m[1]:.9f} {printed}")
+    try:
+        _parse_match_lines(lines)
+    except MatchFileError as exc:
+        raise ValueError(f"match set would not read back: {exc}") from exc
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_match_file(path) -> AnchorMatchSet:
+    with open(path) as fh:
+        return _parse_match_lines(fh)
+
+
+def _parse_match_lines(lines) -> AnchorMatchSet:
+    """The match set of match-file ``lines``; errors name the first bad line, from 1."""
     intr = {}
     sizes = {}
-    rows = {0: [], 1: []}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "intrinsics":
-                if len(parts) != 8:
-                    raise MatchFileError(f"line {lineno}: intrinsics needs 7 values")
-                try:
-                    fid = int(parts[1])
-                    vals = [float(p) for p in parts[2:]]
-                except ValueError as exc:
-                    raise MatchFileError(f"line {lineno}: {exc}") from exc
-                if fid not in (0, 1):
-                    raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
-                if fid in intr:
-                    raise MatchFileError(f"line {lineno}: duplicate intrinsics for frame {fid}")
-                try:
-                    intr[fid] = Intrinsics(*vals[:4])
-                    sizes[fid] = _as_size(vals[4:])
-                except ValueError as exc:
-                    raise MatchFileError(f"line {lineno}: {exc}") from exc
-                continue
-            if len(parts) != 6:
-                raise MatchFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "intrinsics":
+            if len(parts) != 8:
+                raise MatchFileError(f"line {lineno}: intrinsics needs 7 values")
             try:
-                fid = int(parts[0])
-                ax, ay, mx, my, w = (float(p) for p in parts[1:])
+                fid = int(parts[1])
+                vals = [float(p) for p in parts[2:]]
             except ValueError as exc:
                 raise MatchFileError(f"line {lineno}: {exc}") from exc
             if fid not in (0, 1):
                 raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
-            if not 0.0 < w <= 1.0:
-                raise MatchFileError(f"line {lineno}: weight {w} outside (0, 1]")
-            rows[fid].append((lineno, ax, ay, mx, my, w))
+            if fid in intr:
+                raise MatchFileError(f"line {lineno}: duplicate intrinsics for frame {fid}")
+            try:
+                intr[fid] = Intrinsics(*vals[:4])
+                sizes[fid] = _as_size(vals[4:])
+            except ValueError as exc:
+                raise MatchFileError(f"line {lineno}: {exc}") from exc
+            continue
+        if len(parts) != 6:
+            raise MatchFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            fid = int(parts[0])
+            ax, ay, mx, my, w = (float(p) for p in parts[1:])
+        except ValueError as exc:
+            raise MatchFileError(f"line {lineno}: {exc}") from exc
+        if fid not in (0, 1):
+            raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
+        if not 0.0 < w <= 1.0:
+            raise MatchFileError(f"line {lineno}: weight {w} outside (0, 1]")
+        rows.append((fid, lineno, ax, ay, mx, my, w))
     if 0 not in intr or 1 not in intr:
         raise MatchFileError("missing intrinsics header for frame 0 and/or 1")
-    for fid in (0, 1):
-        own_w, own_h = sizes[fid]
-        other_w, other_h = sizes[1 - fid]
-        for lineno, ax, ay, mx, my, _ in rows[fid]:
-            if not (0.0 <= ax <= own_w and 0.0 <= ay <= own_h):
-                raise MatchFileError(f"line {lineno}: anchor ({ax}, {ay}) outside image bounds")
-            if not (0.0 <= mx <= other_w and 0.0 <= my <= other_h):
-                raise MatchFileError(f"line {lineno}: match ({mx}, {my}) outside image bounds")
-
-    def unpack(fid):
-        data = np.array([(r[1], r[2], r[3], r[4], r[5]) for r in rows[fid]], dtype=float)
-        if len(data) == 0:
-            return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-        return data[:, 0:2], data[:, 2:4], data[:, 4]
-
-    a0, m0, w0 = unpack(0)
-    a1, m1, w1 = unpack(1)
-    return AnchorMatchSet(a0, m0, w0, a1, m1, w1, intr[0], intr[1], sizes[0], sizes[1])
+    rows.sort(key=lambda r: r[0])  # stable: frame-0 rows first, each frame in file order
+    for fid, lineno, ax, ay, mx, my, _ in rows:
+        (own_w, own_h), (other_w, other_h) = sizes[fid], sizes[1 - fid]
+        if not (0.0 <= ax <= own_w and 0.0 <= ay <= own_h):
+            raise MatchFileError(f"line {lineno}: anchor ({ax}, {ay}) outside image bounds")
+        if not (0.0 <= mx <= other_w and 0.0 <= my <= other_h):
+            raise MatchFileError(f"line {lineno}: match ({mx}, {my}) outside image bounds")
+    n0 = len(rows) - sum(r[0] for r in rows)
+    t = np.array([r[2:] for r in rows], dtype=float).reshape(-1, 5)
+    return AnchorMatchSet(t[:n0, 0:2], t[:n0, 2:4], t[:n0, 4], t[n0:, 0:2], t[n0:, 2:4], t[n0:, 4],
+                          intr[0], intr[1], sizes[0], sizes[1])
 
 
 def _check_stamps(traj: Trajectory) -> None:
@@ -125,7 +128,9 @@ def _check_stamps(traj: Trajectory) -> None:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    """Write ``traj``; timestamps that print alike raise before opening."""
+    """Write ``traj``; no keyframes, or timestamps that print alike, raise before opening."""
+    if not traj.keyframes:
+        raise ValueError("trajectory holds no keyframes")
     _check_stamps(traj)
     lines = ["# timestamp tx ty tz qx qy qz qw"]
     for kf in traj.keyframes:

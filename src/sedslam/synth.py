@@ -80,7 +80,19 @@ def _visible(local, k, z_min):
     return ok & np.all((uv >= lo) & (uv <= hi), axis=1)
 
 
-def _corrupt_matches(matches, rng, noise, width, height):
+def _sample_visible(n, draw, visible, exhausted):
+    """The first ``n`` points of ``draw(4n)`` calls that ``visible`` keeps; raises
+    ``RuntimeError(exhausted)`` if ``MAX_SAMPLING_ROUNDS`` calls find fewer."""
+    pts: list[np.ndarray] = []
+    for _ in range(MAX_SAMPLING_ROUNDS):
+        cand = draw(4 * n)
+        pts.extend(cand[visible(cand)])
+        if len(pts) >= n:
+            return np.array(pts[:n])
+    raise RuntimeError(exhausted)
+
+
+def _corrupt_matches(matches, rng, noise):
     """Apply Gaussian noise with the displacement norm clipped at 3 sigma,
     so inlier point-to-line residuals stay below 3 sigma by construction."""
     if noise.gaussian_sigma > 0.0:
@@ -89,7 +101,7 @@ def _corrupt_matches(matches, rng, noise, width, height):
         cap = 3.0 * noise.gaussian_sigma
         delta = delta * np.minimum(1.0, cap / np.maximum(norms, 1e-300))
         matches = matches + delta
-    return np.clip(matches, [0.0, 0.0], [width, height])
+    return np.clip(matches, 0.0, IMAGE_SIZE)
 
 
 def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
@@ -127,52 +139,33 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
     gt = RelativePose(r01, t01 / np.linalg.norm(t01))
 
     # Rejection-sample points visible in both frustums with a pixel margin.
-    pts: list[np.ndarray] = []
     lo, hi = VISIBILITY_MARGIN, IMAGE_SIZE - VISIBILITY_MARGIN
-    for _ in range(MAX_SAMPLING_ROUNDS):
-        m = 4 * n_points
+
+    def draw(m):
         z = rng.uniform(1.0, 4.0, size=m) * baseline
         px = rng.uniform(lo, hi, size=m)
         py = rng.uniform(lo, hi, size=m)
-        cand = np.stack([(px - k.cx) / k.fx * z, (py - k.cy) / k.fy * z, z], axis=1)
-        ok = _visible(cand @ r01.T + t01, k, 0.2 * baseline)
-        pts.extend(cand[ok])
-        if len(pts) >= n_points:
-            break
-    if len(pts) < n_points:
-        raise RuntimeError("visibility sampling exhausted; geometry too extreme")
-    pts = np.array(pts[:n_points])
+        return np.stack([(px - k.cx) / k.fx * z, (py - k.cy) / k.fy * z, z], axis=1)
 
+    pts = _sample_visible(n_points, draw, lambda c: _visible(c @ r01.T + t01, k, 0.2 * baseline),
+                          "visibility sampling exhausted; geometry too extreme")
+
+    # One row table, frame-0 anchors first, split once into the match set.
     proj0 = project(pts, k)
     proj1 = project(pts @ r01.T + t01, k)
-
     n0 = (n_points + 1) // 2
-    anchors0, matches0 = proj0[:n0], proj1[:n0].copy()
-    anchors1, matches1 = proj1[n0:], proj0[n0:].copy()
+    anchors = np.concatenate([proj0[:n0], proj1[n0:]])
+    matches = np.concatenate([proj1[:n0], proj0[n0:]])
 
     n_out = int(np.floor(noise.outlier_fraction * n_points))
     out_idx = rng.choice(n_points, size=n_out, replace=False) if n_out else np.array([], dtype=int)
-    for idx in out_idx:
-        redraw = np.array([rng.uniform(0.0, w), rng.uniform(0.0, h)])
-        if idx < n0:
-            matches0[idx] = redraw
-        else:
-            matches1[idx - n0] = redraw
+    matches[out_idx] = rng.uniform(0.0, (w, h), size=(n_out, 2))
+    matches = _corrupt_matches(matches, rng, noise)
+    weights = np.ones(n_points)
+    weights[out_idx] = noise.outlier_weight
 
-    matches0 = _corrupt_matches(matches0, rng, noise, w, h)
-    matches1 = _corrupt_matches(matches1, rng, noise, w, h)
-
-    weights0 = np.ones(n0)
-    weights1 = np.ones(n_points - n0)
-    for idx in out_idx:
-        if idx < n0:
-            weights0[idx] = noise.outlier_weight
-        else:
-            weights1[idx - n0] = noise.outlier_weight
-
-    mset = AnchorMatchSet(anchors0, matches0, weights0, anchors1, matches1, weights1,
-                          k, k, (w, h), (w, h))
-    return mset, gt
+    return AnchorMatchSet(anchors[:n0], matches[:n0], weights[:n0],
+                          anchors[n0:], matches[n0:], weights[n0:], k, k, (w, h), (w, h)), gt
 
 
 def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
@@ -189,13 +182,11 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
 
     radius = 3.0
     arc = np.radians(12.0)
-    centers = []
     poses = []
     for f in range(n_frames):
         ang = arc * (f - (n_frames - 1) / 2.0)
         c = np.array([radius * np.sin(ang), 0.3 * np.sin(2.0 * ang),
                       radius - radius * np.cos(ang)])
-        centers.append(c)
         poses.append(Se3Pose(_look_at(c, np.array([0.0, 0.0, radius]), np.array([0.0, 1.0, 0.0])), c))
 
     # Per-frame anchor points, each visible in every frame.
@@ -203,21 +194,17 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
     for f in range(n_anchors % n_frames):
         counts[f] += 1
     anchors, depths, points = [], [], []
+
+    def draw(m):
+        return np.stack([rng.uniform(-1.1, 1.1, m), rng.uniform(-1.1, 1.1, m),
+                         radius + rng.uniform(-1.1, 1.1, m)], axis=1)
+
+    def visible(cand):
+        return np.all([_visible(p.inverse().apply(cand), k, 0.5) for p in poses], axis=0)
+
     for f in range(n_frames):
-        own: list[np.ndarray] = []
-        for _ in range(MAX_SAMPLING_ROUNDS):
-            m = 4 * counts[f]
-            cand = np.stack([rng.uniform(-1.1, 1.1, m), rng.uniform(-1.1, 1.1, m),
-                             radius + rng.uniform(-1.1, 1.1, m)], axis=1)
-            ok = np.ones(m, dtype=bool)
-            for g in range(n_frames):
-                ok &= _visible(poses[g].inverse().apply(cand), k, 0.5)
-            own.extend(cand[ok])
-            if len(own) >= counts[f]:
-                break
-        if len(own) < counts[f]:
-            raise RuntimeError("visibility sampling exhausted for the multi-view graph")
-        own = np.array(own[:counts[f]])
+        own = _sample_visible(counts[f], draw, visible,
+                              "visibility sampling exhausted for the multi-view graph")
         points.append(own)
         local = poses[f].inverse().apply(own)
         anchors.append(project(local, k))
@@ -279,7 +266,7 @@ class TrajectoryPair:
     poses_b_metric: tuple[Se3Pose, ...] = field(repr=False)
 
 
-def _arc_trajectory(rng, n_frames, start_deg, step_deg, radius, t0):
+def _arc_trajectory(n_frames, start_deg, step_deg, radius, t0):
     poses, stamps = [], []
     for f in range(n_frames):
         ang = np.radians(start_deg + f * step_deg)
@@ -298,6 +285,8 @@ def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
                          sim3: Sim3Transform | None = None) -> TrajectoryPair:
     """Two smooth trajectories observing a shared cloud, the second stored in
     a frame related to the first by the given Sim(3)."""
+    if n_frames < 2:
+        raise ValueError(f"need at least 2 frames per trajectory, got {n_frames}")
     if not 0.0 < overlap <= 1.0:
         raise ValueError("overlap must lie in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -308,14 +297,16 @@ def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
     radius = 5.0
     step = 5.0
     span = step * (n_frames - 1)
-    poses_a, ts_a = _arc_trajectory(rng, n_frames, -90.0, step, radius, 100.0)
+    poses_a, ts_a = _arc_trajectory(n_frames, -90.0, step, radius, 100.0)
     start_b = -90.0 + span * (1.0 - overlap)
-    poses_b, ts_b = _arc_trajectory(rng, n_frames, start_b, step, radius, 200.0)
+    poses_b, ts_b = _arc_trajectory(n_frames, start_b, step, radius, 200.0)
 
-    def build_keyframes(poses, stamps, scale, stored_pose):
+    vis_a = [_visible_ids(p, points, k) for p in poses_a]
+    vis_b = [_visible_ids(p, points, k) for p in poses_b]
+
+    def build_keyframes(poses, visible, stamps, scale, stored_pose):
         kfs, anchors, ids = [], [], []
-        for pose, ts in zip(poses, stamps):
-            vis = _visible_ids(pose, points, k)
+        for pose, vis, ts in zip(poses, visible, stamps):
             if len(vis) < 12:
                 raise RuntimeError("trajectory keyframe sees too few points")
             take = vis[rng.permutation(len(vis))[:ANCHORS_PER_FRAME]]
@@ -326,14 +317,12 @@ def make_trajectory_pair(seed: int, n_frames: int = 8, overlap: float = 0.5,
             ids.append(take)
         return Trajectory(tuple(kfs)), tuple(anchors), ids
 
-    traj_a, anchors_a, ids_a = build_keyframes(poses_a, ts_a, 1.0, lambda pose: pose)
-    traj_b, anchors_b, ids_b = build_keyframes(poses_b, ts_b, sim3.scale,
+    traj_a, anchors_a, ids_a = build_keyframes(poses_a, vis_a, ts_a, 1.0, lambda pose: pose)
+    traj_b, anchors_b, ids_b = build_keyframes(poses_b, vis_b, ts_b, sim3.scale,
                                                sim3.inverse().transform_pose)
 
     # A pair is covisible when enough of each frame's anchors project into
     # the other camera and the baseline is wide but not extreme.
-    vis_a = [_visible_ids(p, points, k) for p in poses_a]
-    vis_b = [_visible_ids(p, points, k) for p in poses_b]
     pairs = []
     for ia in range(n_frames):
         for ib in range(n_frames):
@@ -369,13 +358,13 @@ def build_join_candidate(pair: TrajectoryPair, frame_a: int, frame_b: int,
     sel_a = np.flatnonzero(np.isin(ids_a, vis_in_b))
     sel_b = np.flatnonzero(np.isin(ids_b, vis_in_a))
 
-    m0 = project(pose_b.inverse().apply(pair.points[ids_a[sel_a]]), k)
-    m1 = project(pose_a.inverse().apply(pair.points[ids_b[sel_b]]), k)
-    m0 = _corrupt_matches(m0, rng, noise, IMAGE_SIZE, IMAGE_SIZE)
-    m1 = _corrupt_matches(m1, rng, noise, IMAGE_SIZE, IMAGE_SIZE)
+    n0 = len(sel_a)
+    matches = _corrupt_matches(np.concatenate([
+        project(pose_b.inverse().apply(pair.points[ids_a[sel_a]]), k),
+        project(pose_a.inverse().apply(pair.points[ids_b[sel_b]]), k)]), rng, noise)
 
-    mset = AnchorMatchSet(pair.anchors_a[frame_a][sel_a], m0, np.ones(len(sel_a)),
-                          pair.anchors_b[frame_b][sel_b], m1, np.ones(len(sel_b)),
+    mset = AnchorMatchSet(pair.anchors_a[frame_a][sel_a], matches[:n0], np.ones(n0),
+                          pair.anchors_b[frame_b][sel_b], matches[n0:], np.ones(len(sel_b)),
                           k, k, (IMAGE_SIZE, IMAGE_SIZE), (IMAGE_SIZE, IMAGE_SIZE))
     return JoinCandidate(frame_a, frame_b, mset, sel_a, sel_b)
 
@@ -415,22 +404,24 @@ def basin_experiment(n_seeds: int, init_error_grid, mode: str,
 
     For every grid angle and seed, the ground-truth pose is perturbed by the
     angle about random axes and the selected pipeline is run: "sed_only"
-    refines from the perturbed initialization, "preconditioned" runs the
-    full solve and ignores the initialization.
+    refines from the perturbed initialization, "preconditioned" ignores it
+    and reports one full solve per seed on every row of that seed.
     """
     if mode not in ("sed_only", "preconditioned"):
         raise ValueError(f"unknown basin mode {mode!r}")
+    if n_seeds < 1:
+        raise ValueError(f"need at least 1 seed, got {n_seeds}")
     rows = []
     for s in range(n_seeds):
         seed = base_seed + s
         mset, gt = make_two_view(seed)
+        if mode == "preconditioned":
+            report = solve_two_view(mset, max_iters)
         for init_deg in init_error_grid:
             if mode == "sed_only":
                 rng = np.random.default_rng((seed, int(round(init_deg * 1000.0)), 17))
                 init = perturb_pose(gt, float(init_deg), rng)
                 report = lm_refine_sed(init, mset, max_iters)
-            else:
-                report = solve_two_view(mset, max_iters)
             err = pose_error(report.pose, gt)
             rows.append(BasinRow(float(init_deg), seed, mode,
                                  err.rot_deg, err.trans_deg, report.converged))

@@ -132,6 +132,13 @@ class TestBasinCommand:
                      "--out", str(tmp_path / "b.csv")]) == 1
         assert capsys.readouterr().err == f"error: invalid grid {grid!r}\n"
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_fewer_than_one_seed_exits_1(self, tmp_path, capsys, seeds):
+        out = tmp_path / "b.csv"
+        assert main(["basin", "--mode", "sed_only", "--seeds", seeds, "--out", str(out)]) == 1
+        assert f"need at least 1 seed, got {seeds}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preconditioned_rows_converge(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         assert main(["basin", "--mode", "preconditioned", "--grid", "0:60:30",
@@ -348,6 +355,20 @@ class TestSynthCommand:
                      "--out-dir", str(d)]) == 1
         assert "prints as 0.000000000" in capsys.readouterr().err
         assert not (d / "trajB.depths").exists()
+
+    def test_traj_pair_refused_fixture_leaves_no_fixture_files(self, tmp_path, capsys):
+        # trajB.depths is refused; the fixtures before it must not be written either.
+        d = tmp_path / "p"
+        assert main(["synth", "traj-pair", "--seed", "3", "--scale", "1e12",
+                     "--out-dir", str(d)]) == 1
+        assert "prints as 0.000000000" in capsys.readouterr().err
+        assert not d.exists()
+
+    def test_traj_pair_with_one_frame_exits_1(self, tmp_path, capsys):
+        d = tmp_path / "p"
+        assert main(["synth", "traj-pair", "--n-frames", "1", "--out-dir", str(d)]) == 1
+        assert "need at least 2 frames per trajectory, got 1" in capsys.readouterr().err
+        assert not d.exists()
 
     def test_traj_pair_fixture_joins(self, tmp_path, capsys):
         d = tmp_path / "p"

@@ -21,7 +21,7 @@ from sedslam.files import (
 from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, quat_from_rotation, so3_exp
 from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories
 from sedslam.synth import NoiseModel, make_two_view
-from sedslam.twoview import AnchorMatchSet
+from sedslam.twoview import AnchorMatchSet, normalize_points
 
 
 def simple_trajectory(n=5, t0=0.0, seed=0, depths=True):
@@ -131,6 +131,36 @@ class TestMatchFile:
             read_match_file(path)
         assert "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: normalize_points(m)[0],
+         "line 4: anchor (-0.749140102, -0.884663599) outside image bounds"),
+        (lambda m: replace(m, anchors0=np.vstack([[512.0000000006, 10.0], m.anchors0[1:]])),
+         "line 4: anchor (512.000000001, 10.0) outside image bounds"),
+        (lambda m: replace(m, matches0=np.vstack([[400.0, 10.0], m.matches0[1:]]),
+                           size1=(300.0, 600.0)),
+         "line 4: match (400.0, 10.0) outside image bounds"),
+        (lambda m: replace(m, intrinsics0=Intrinsics(1e-10, 256.0, 256.0, 256.0)),
+         "line 2: focal lengths must be positive"),
+        (lambda m: replace(m, intrinsics1=Intrinsics(256.0, 4e-10, 256.0, 256.0)),
+         "line 3: focal lengths must be positive"),
+        (lambda m: replace(m, size1=(512.0, 1e-10)),
+         "line 3: image size must be finite and positive"),
+    ])
+    def test_write_refuses_values_the_reader_rejects_once_printed(self, tmp_path, change,
+                                                                  message):
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError) as exc:
+            write_match_file(path, change(make_two_view(0)[0]))
+        assert str(exc.value) == f"match set would not read back: {message}"
+        assert not path.exists()
+
+    def test_coordinate_printed_at_the_bound_reads_back(self, tmp_path):
+        mset, _ = make_two_view(0)
+        path = tmp_path / "m.txt"
+        write_match_file(path, replace(mset, anchors0=np.vstack([[512.0000000004, 10.0],
+                                                                 mset.anchors0[1:]])))
+        assert read_match_file(path).anchors0[0].tolist() == [512.0, 10.0]
+
 
 class TestTrajectoryFile:
     def test_round_trip(self, tmp_path):
@@ -165,6 +195,12 @@ class TestTrajectoryFile:
         path.write_text("# nothing\n")
         with pytest.raises(TrajectoryFileError):
             read_trajectory(path)
+
+    def test_write_refuses_empty_trajectory(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="^trajectory holds no keyframes$"):
+            write_trajectory(path, Trajectory(()))
+        assert not path.exists()
 
     @pytest.mark.parametrize("row", ["nan 0 0 0 0 0 0 1", "inf 0 0 0 0 0 0 1",
                                      "1.0 nan 0 0 0 0 0 1", "1.0 0 0 -inf 0 0 0 1",

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import epipolar_line, point_line_error
 
+from sedslam import synth
 from sedslam.synth import (
     NoiseModel,
     basin_experiment,
@@ -11,6 +14,7 @@ from sedslam.synth import (
     make_two_view,
     write_basin_csv,
 )
+from sedslam.twoview import solve_two_view
 
 
 class TestMakeTwoView:
@@ -61,6 +65,32 @@ class TestMakeTwoView:
             make_two_view(0, baseline=baseline)
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(0, 12), n1=st.integers(0, 12),
+       sigma=st.sampled_from([0.0, 0.5, 2.0]), out_frac=st.floats(0.0, 1.0))
+def test_stacked_draws_equal_per_direction_draws(seed, n0, n1, sigma, out_frac):
+    """One outlier redraw and one ``_corrupt_matches`` call over the stacked
+    rows draw what per-row redraws and per-direction calls draw."""
+    rows = np.random.default_rng(seed).uniform(0.0, 512.0, size=(n0 + n1, 2))
+    noise = NoiseModel(gaussian_sigma=sigma)
+    n_out = int(out_frac * (n0 + n1))
+    stacked_rng, split_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    out_idx = stacked_rng.choice(n0 + n1, size=n_out, replace=False)
+    stacked = rows.copy()
+    stacked[out_idx] = stacked_rng.uniform(0.0, (512.0, 512.0), size=(n_out, 2))
+    stacked = synth._corrupt_matches(stacked, stacked_rng, noise)
+
+    split = rows.copy()
+    for idx in split_rng.choice(n0 + n1, size=n_out, replace=False):
+        split[idx] = [split_rng.uniform(0.0, 512.0), split_rng.uniform(0.0, 512.0)]
+    split = np.concatenate([synth._corrupt_matches(split[:n0], split_rng, noise),
+                            synth._corrupt_matches(split[n0:], split_rng, noise)])
+
+    assert np.array_equal(stacked, split)
+    assert stacked_rng.random() == split_rng.random()
+
+
 class TestMakeBaGraph:
     def test_deterministic(self):
         g1, _, _ = make_ba_graph(5, pose_perturb_deg=2.0)
@@ -96,6 +126,11 @@ class TestMakeTrajectoryPair:
         assert np.array_equal(c1.matches.anchors0, c2.matches.anchors0)
         assert np.array_equal(c1.matches.matches0, c2.matches.matches0)
 
+    @pytest.mark.parametrize("n_frames", [1, 0, -2])
+    def test_rejects_fewer_than_two_frames(self, n_frames):
+        with pytest.raises(ValueError, match="need at least 2 frames per trajectory"):
+            make_trajectory_pair(0, n_frames=n_frames)
+
     def test_has_covisible_pairs(self):
         for seed in range(5):
             pair = make_trajectory_pair(20 + seed)
@@ -121,6 +156,23 @@ class TestBasinExperiment:
             if max(row.final_rot_deg, row.final_trans_deg) < 0.5:
                 ok[row.init_deg] += 1
         assert ok[5.0] >= 2 * ok[60.0]
+
+    def test_preconditioned_solves_each_seed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_two_view(*args)
+
+        monkeypatch.setattr(synth, "solve_two_view", counted)
+        rows = basin_experiment(3, [0.0, 30.0, 60.0], "preconditioned")
+        assert len(calls) == 3
+        assert len(rows) == 9
+
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_rejects_fewer_than_one_seed(self, n_seeds):
+        with pytest.raises(ValueError, match="need at least 1 seed"):
+            basin_experiment(n_seeds, [0.0], "sed_only")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
