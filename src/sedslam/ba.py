@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import Intrinsics, Se3Pose, calibrated_rays, so3_exp
-from .lm import levenberg_marquardt
+from .lm import Termination, levenberg_marquardt
 
 
 @dataclass
@@ -88,11 +88,11 @@ class FactorGraph:
 
 
 @dataclass
-class BaReport:
+class BaReport(Termination):
     iterations: int
     initial_rmse: float
     final_rmse: float
-    converged: bool
+    reason: str
     cost_trace: tuple[float, ...] = field(default=(), repr=False)
     n_behind: int = 0
 
@@ -275,7 +275,7 @@ def ba_solve(graph: FactorGraph) -> BaReport:
     initial_rmse, _ = result.initial_info
     final_rmse, behind = result.info
     return BaReport(iterations=result.iterations, initial_rmse=initial_rmse,
-                    final_rmse=final_rmse, converged=result.converged,
+                    final_rmse=final_rmse, reason=result.reason,
                     cost_trace=result.cost_trace, n_behind=behind)
 
 

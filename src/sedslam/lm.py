@@ -6,6 +6,13 @@ lowers the cost, which halves the damping λ; any other outcome only
 multiplies λ by four. The normal equations therefore depend on the point
 alone: they are built at the start point and after each accepted step, and
 a rejected step re-solves the same system with the new damping.
+
+It stops on the first of four tests and reports which as ``reason``: a step
+shorter than ``STEP_TOL`` ("step"), an accepted decrease below ``COST_TOL *
+max(1, cost)`` ("cost"), both converged; damping above ``LAMBDA_MAX``
+("damping") or the iteration cap ("max_iters"). The decrease test is
+relative, as their step test ‖h‖ ≤ ε₂(‖x‖ + ε₂) is (§3.2): an absolute
+one cannot fire once the cost's rounding step exceeds it.
 """
 
 from __future__ import annotations
@@ -17,19 +24,25 @@ import numpy as np
 
 LAMBDA_INIT = 1e-4
 LAMBDA_MIN = 1e-10
-# The solve stops, unconverged, once the damping exceeds this.
 LAMBDA_MAX = 1e6
-# Converged: a step shorter than STEP_TOL, or an accepted step that lowers
-# the cost by less than COST_TOL.
 STEP_TOL = 1e-10
 COST_TOL = 1e-12
 
 
+class Termination:
+    """Mixin for results with a ``reason``: converged when a convergence test
+    fired, not on damping overflow or the iteration cap."""
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("step", "cost")
+
+
 @dataclass
-class LmResult:
+class LmResult(Termination):
     """Final point and cost, the ``evaluate`` extras at the start and final
-    points, the accepted costs (initial cost first), iterations run and
-    whether a convergence test fired."""
+    points, the accepted costs (initial cost first), iterations run and the
+    reason the loop stopped."""
 
     x: Any
     cost: float
@@ -37,7 +50,7 @@ class LmResult:
     initial_info: Any
     cost_trace: tuple[float, ...]
     iterations: int
-    converged: bool
+    reason: str
 
 
 def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int = 50) -> LmResult:
@@ -63,7 +76,7 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
     trace = [cost]
     lam = LAMBDA_INIT
     system = None
-    converged = False
+    reason = "max_iters"
     iterations = 0
 
     while iterations < max_iters:
@@ -72,7 +85,7 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
             system = linearize(x)
         step = solve(system, lam)
         if step is not None and np.linalg.norm(step) < STEP_TOL:
-            converged = True
+            reason = "step"
             break
         candidate = None if step is None else retract(x, step)
         new_cost, new_info = (np.inf, None) if candidate is None else evaluate(candidate)
@@ -82,13 +95,14 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
             trace.append(cost)
             system = None
             lam = max(lam * 0.5, LAMBDA_MIN)
-            if decrease < COST_TOL:
-                converged = True
+            if decrease < COST_TOL * max(1.0, cost):
+                reason = "cost"
                 break
         else:
             lam *= 4.0
             if lam > LAMBDA_MAX:
+                reason = "damping"
                 break
 
     return LmResult(x=x, cost=cost, info=info, initial_info=initial_info,
-                    cost_trace=tuple(trace), iterations=iterations, converged=converged)
+                    cost_trace=tuple(trace), iterations=iterations, reason=reason)

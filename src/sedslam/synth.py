@@ -118,6 +118,9 @@ def make_two_view(seed: int, n_points: int = 96, baseline: float = 1.0,
         raise ValueError("need at least 8 points")
     if not 0.0 < baseline < math.inf:
         raise ValueError(f"baseline must be finite and positive, got {baseline}")
+    if not 1e-150 <= baseline <= 1e150:
+        raise ValueError(f"baseline {baseline} lies outside [1e-150, 1e150], where squared "
+                         "scene distances underflow or overflow")
     noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
     k = DEFAULT_INTRINSICS
@@ -177,6 +180,11 @@ def make_ba_graph(seed: int, n_frames: int = 4, n_anchors: int = 50,
     the graph's poses and depths can be perturbed away from ground truth for
     convergence tests. Returns (graph, gt_poses, gt_depths).
     """
+    if n_frames < 2:
+        raise ValueError(f"need at least 2 frames, got n_frames={n_frames}")
+    if n_anchors < n_frames:
+        raise ValueError(f"need an anchor per frame, got n_anchors={n_anchors} "
+                         f"for {n_frames} frames")
     rng = np.random.default_rng(seed)
     k = DEFAULT_INTRINSICS
 

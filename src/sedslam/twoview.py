@@ -38,7 +38,7 @@ from .geom import (
     triangulate_batch,
     vee,
 )
-from .lm import levenberg_marquardt
+from .lm import Termination, levenberg_marquardt
 
 # Numerical-rank cutoff (relative to the largest singular value) below which
 # the 8-point design matrix is declared degenerate.
@@ -123,14 +123,14 @@ class AnchorMatchSet:
 
 
 @dataclass
-class SedSolveReport:
-    """Outcome of a two-view solve."""
+class SedSolveReport(Termination):
+    """Outcome of a two-view solve; ``reason`` is why LM stopped."""
 
     pose: RelativePose
     iterations: int
     initial_cost: float
     final_cost: float
-    converged: bool
+    reason: str
     candidate_index: int | None = None
     n_degenerate: int = 0
     clamped: "AnchorMatchSet | None" = field(default=None, repr=False)
@@ -378,7 +378,7 @@ def lm_refine_sed(init: RelativePose, mset: AnchorMatchSet,
                                  _damped_solve, _retract, max_iters)
     return SedSolveReport(pose=result.x, iterations=result.iterations,
                           initial_cost=result.cost_trace[0], final_cost=result.cost,
-                          converged=result.converged, n_degenerate=result.info)
+                          reason=result.reason, n_degenerate=result.info)
 
 
 def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSet:

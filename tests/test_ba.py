@@ -81,6 +81,17 @@ class TestBaSolve:
         for pose, gt in zip(graph.poses, gt_poses):
             assert np.degrees(rotation_angle(pose.rotation.T @ gt.rotation)) < 0.01
 
+    def test_near_zero_cost_stops_on_absolute_floor(self):
+        # Criterion 5's graph ends far below a cost of 1, where the relative
+        # decrease test is the absolute COST_TOL.
+        graph, _, _ = make_ba_graph(2, n_frames=4, n_anchors=50,
+                                    pose_perturb_deg=2.0, pose_perturb_rel=0.02,
+                                    depth_perturb_rel=0.05)
+        report = ba_solve(graph)
+        assert report.reason in ("step", "cost") and report.converged
+        assert report.cost_trace[-1] < 1.0
+        assert report.final_rmse < 1e-6
+
     def test_already_optimal_graph_keeps_poses(self):
         graph, gt_poses, gt_depths = make_ba_graph(3)
         report = ba_solve(graph)

@@ -329,6 +329,7 @@ class TestSynthCommand:
         (["--baseline", "0"], "baseline must be finite and positive"),
         (["--baseline", "nan"], "baseline must be finite and positive"),
         (["--baseline", "-1"], "baseline must be finite and positive"),
+        (["--baseline", "1e-300"], "lies outside [1e-150, 1e150]"),
     ])
     def test_two_view_rejects_bad_input_and_writes_nothing(self, tmp_path, capsys, flags,
                                                           message):

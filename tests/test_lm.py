@@ -4,15 +4,15 @@ import pytest
 from sedslam import lm
 
 
-def quadratic():
-    """Cost |x - (1, -2)|^2 as (evaluate, linearize, solve, retract)."""
+def quadratic(offset=0.0):
+    """Cost |x - (1, -2)|^2 + offset as (evaluate, linearize, solve, retract)."""
     target = np.array([1.0, -2.0])
 
     def solve(system, lam):
         h, g = system
         return np.linalg.solve(h + lam * np.eye(2), -g)
 
-    return (lambda x: (float(np.sum((x - target) ** 2)), None),
+    return (lambda x: (float(np.sum((x - target) ** 2)) + offset, None),
             lambda x: (np.eye(2), x - target),
             solve,
             lambda x, step: x + step)
@@ -36,7 +36,7 @@ def test_failed_steps_stop_once_damping_passes_lambda_max(failing):
     rejections, lam = 1, lm.LAMBDA_INIT * 4.0
     while lam <= lm.LAMBDA_MAX:
         rejections, lam = rejections + 1, lam * 4.0
-    assert not result.converged
+    assert result.reason == "damping" and not result.converged
     assert result.iterations == rejections < 50
     assert len(linearized) == 1
     assert result.cost_trace == (5.0,)
@@ -46,3 +46,40 @@ def test_failed_steps_stop_once_damping_passes_lambda_max(failing):
 def test_negative_max_iters_rejected():
     with pytest.raises(ValueError, match="max_iters"):
         lm.levenberg_marquardt(np.zeros(2), *quadratic(), max_iters=-1)
+
+
+@pytest.mark.parametrize("x0, offset, max_iters, reason, iterations", [
+    # Started at the minimum, the first step is zero.
+    ((1.0, -2.0), 0.0, 50, "step", 1),
+    # Each step shrinks the error about 1e4-fold; the third lowers a cost of
+    # about 1e-16 by less than the absolute floor COST_TOL.
+    ((0.0, 0.0), 0.0, 50, "cost", 3),
+    # Near a cost of 1e8 the second decrease, about 5e-8, is below
+    # COST_TOL * cost; an absolute test would run on until the step test.
+    ((0.0, 0.0), 1e8, 50, "cost", 2),
+    ((0.0, 0.0), 0.0, 2, "max_iters", 2),
+    ((0.0, 0.0), 0.0, 0, "max_iters", 0),
+])
+def test_each_reason_is_reached(x0, offset, max_iters, reason, iterations):
+    result = lm.levenberg_marquardt(np.array(x0), *quadratic(offset), max_iters=max_iters)
+    assert (result.reason, result.iterations) == (reason, iterations)
+    assert result.converged == (reason in ("step", "cost"))
+
+
+def test_linearizes_only_at_accepted_points():
+    # The first retraction fails, so the first step is rejected for certain.
+    evaluate, linearize, solve, retract = quadratic()
+    linearized, retracted = [], []
+
+    def recording(x):
+        linearized.append(x)
+        return linearize(x)
+
+    def first_fails(x, step):
+        retracted.append(x)
+        return None if len(retracted) == 1 else retract(x, step)
+
+    result = lm.levenberg_marquardt(np.zeros(2), evaluate, recording, solve, first_fails)
+    assert result.reason == "cost"
+    assert len(linearized) == result.iterations - 1
+    assert [evaluate(x)[0] for x in linearized] == list(result.cost_trace[:-1])

@@ -64,6 +64,17 @@ class TestMakeTwoView:
         with pytest.raises(ValueError, match="baseline must be finite and positive"):
             make_two_view(0, baseline=baseline)
 
+    @pytest.mark.parametrize("baseline", [1e-300, 1e-160, 1e160, 1e300])
+    def test_rejects_baseline_whose_distances_underflow_or_overflow(self, baseline):
+        # Raised before any arithmetic, so no RuntimeWarning comes first.
+        with pytest.raises(ValueError, match=r"outside \[1e-150, 1e150\]"):
+            make_two_view(0, n_points=8, baseline=baseline)
+
+    @pytest.mark.parametrize("baseline", [1e-150, 1e150])
+    def test_extreme_accepted_baselines_build(self, baseline):
+        mset, gt = make_two_view(0, n_points=8, baseline=baseline)
+        assert np.all(np.isfinite(mset.matches0)) and np.all(np.isfinite(gt.translation_dir))
+
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(0, 12), n1=st.integers(0, 12),
@@ -104,6 +115,20 @@ class TestMakeBaGraph:
         graph, _, _ = make_ba_graph(6, depth_perturb_rel=0.05)
         for d in graph.depths:
             assert np.all(d > 0.0)
+
+    @pytest.mark.parametrize("n_frames", [1, 0, -2])
+    def test_rejects_fewer_than_two_frames(self, n_frames):
+        with pytest.raises(ValueError, match=f"need at least 2 frames, got n_frames={n_frames}"):
+            make_ba_graph(0, n_frames=n_frames)
+
+    @pytest.mark.parametrize("n_anchors", [3, 0, -1])
+    def test_rejects_fewer_anchors_than_frames(self, n_anchors):
+        with pytest.raises(ValueError, match=f"got n_anchors={n_anchors} for 4 frames"):
+            make_ba_graph(0, n_frames=4, n_anchors=n_anchors)
+
+    def test_one_anchor_per_frame_builds(self):
+        graph, _, _ = make_ba_graph(0, n_frames=4, n_anchors=4)
+        assert [len(a) for a in graph.anchors] == [1, 1, 1, 1]
 
 
 class TestMakeTrajectoryPair:

@@ -361,8 +361,9 @@ class TestLmRefine:
         assert np.all(np.isfinite(report.pose.translation_dir))
 
     def test_linearizes_only_at_accepted_points(self, monkeypatch):
-        # Criterion-4 noise makes LM reject steps. A step is accepted exactly
-        # when its cost is below every cost evaluated before it.
+        # A step is accepted exactly when its cost is below every cost
+        # evaluated before it. That a rejected step is re-solved without
+        # linearizing is pinned in test_lm.py on a cost that rejects for certain.
         sed_terms = twoview._sed_terms
         calls = []
 
@@ -379,7 +380,14 @@ class TestLmRefine:
         linearizations = sum(jac for jac, _ in calls)
         assert min(costs) == report.final_cost
         assert linearizations <= 1 + accepted
-        assert linearizations < report.iterations
+
+    def test_criterion_4_inputs_all_converge(self):
+        # SED costs near 1e4 round in steps above COST_TOL; the decrease test
+        # scales with the cost, so no solve runs on until the damping overflows.
+        noise = NoiseModel(gaussian_sigma=0.5, outlier_fraction=0.3, outlier_weight=0.01)
+        reasons = {solve_two_view(make_two_view(seed, noise=noise)[0]).reason
+                   for seed in range(100)}
+        assert reasons <= {"step", "cost"}
 
 
 class TestClamp:
