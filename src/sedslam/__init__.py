@@ -12,10 +12,7 @@ from .geom import (
     RelativePose,
     Se3Pose,
     Sim3Transform,
-    backproject,
     essential_from_fundamental,
-    essential_from_pose,
-    fundamental_from_essential,
     project,
     skew,
     so3_exp,
@@ -34,7 +31,7 @@ from .twoview import (
     solve_two_view,
     weighted_eight_point,
 )
-from .ba import BaReport, Edge, FactorGraph, ba_solve, extrapolate_pose, reproject_matches
+from .ba import BaReport, Edge, FactorGraph, ba_solve
 from .sim3 import (
     JoinCandidate,
     Keyframe,

@@ -105,7 +105,8 @@ class _Observations(NamedTuple):
     d: np.ndarray  # row of the anchor in the flat depth vector
     matches: np.ndarray
     weights: np.ndarray
-    rays: np.ndarray  # calibrated anchor rays K_i^-1 (a, 1)
+    owner: np.ndarray  # owner frame of every anchor, in depth-vector order
+    rays: np.ndarray  # calibrated rays K^-1 (a, 1) of every anchor, in the same order
     cams: np.ndarray  # target camera (fx, fy, cx, cy)
     starts: np.ndarray  # first row of every edge that has rows
     pp: np.ndarray  # flat h_pp positions, (4, 6, 6, edge): (i,i), (j,j), (i,j), (j,i)
@@ -130,7 +131,8 @@ def _observations(graph) -> _Observations:
     own, tgt = 6 * edge_i[has_rows] + col, 6 * edge_j[has_rows] + col
     rows, cols = np.stack([own, tgt, own, tgt]), np.stack([own, tgt, tgt, own])
     pd = np.stack([6 * i + col, 6 * j + col]) * len(rays) + d
-    return _Observations(i, j, d, matches, weights, rays[d], cams[j], first[has_rows],
+    owner = np.repeat(np.arange(graph.n_frames), np.diff(offsets))
+    return _Observations(i, j, d, matches, weights, owner, rays, cams[j], first[has_rows],
                          (rows[:, :, None] * n_pose + cols[:, None]).ravel(),
                          np.stack([own, tgt]).ravel(), pd.ravel())
 
@@ -147,9 +149,11 @@ def _project(obs, poses, depths):
 
     Returns (y, q, z, ok, pixels): world and target-camera points, the
     divisor depth (1 behind the camera), the in-front mask and the pixels.
+    Each anchor's world point is computed once and gathered for its rows.
     """
     rot, trans = poses
-    y = np.einsum("nab,nb->na", rot[obs.i], obs.rays * depths[obs.d, None]) + trans[obs.i]
+    world = np.einsum("nab,nb->na", rot[obs.owner], obs.rays * depths[:, None]) + trans[obs.owner]
+    y = world[obs.d]
     q = np.einsum("nba,nb->na", rot[obs.j], y - trans[obs.j])
     ok = q[:, 2] > 0.0
     z = np.where(ok, q[:, 2], 1.0)
@@ -158,14 +162,17 @@ def _project(obs, poses, depths):
 
 
 def _evaluate(obs, poses, depths):
-    """Cost plus (rmse, behind-camera count); behind-camera terms get weight zero."""
-    *_, ok, pixels = _project(obs, poses, depths)
+    """Cost plus ((rmse, behind-camera count), projection); behind-camera
+    terms get weight zero. The :func:`_project` tuple is passed on to
+    :func:`_assemble` when the point is linearized."""
+    proj = _project(obs, poses, depths)
+    *_, ok, pixels = proj
     w = obs.weights * ok
     res = np.sqrt(w)[:, None] * (pixels - obs.matches)
     cost = float(np.sum(res * res))
     wsum = float(np.sum(w))
     rmse = float(np.sqrt(cost / (2.0 * wsum))) if wsum > 0.0 else 0.0
-    return cost, (rmse, int(np.sum(~ok)))
+    return cost, ((rmse, int(np.sum(~ok))), proj)
 
 
 def ba_cost(graph: FactorGraph) -> float:
@@ -173,8 +180,9 @@ def ba_cost(graph: FactorGraph) -> float:
     return _evaluate(_observations(graph), *_state(graph))[0]
 
 
-def _assemble(obs, poses, depths):
-    """Undamped normal equations (h_pp, h_pd, h_dd, g_p, g_d).
+def _assemble(obs, poses, depths, proj):
+    """Undamped normal equations (h_pp, h_pd, h_dd, g_p, g_d), given the
+    :func:`_project` tuple of the same point.
 
     Pose parameters are (omega, v) of a left-multiplied update with frame 0
     frozen; depth parameters are inverse depths, whose block h_dd is
@@ -182,7 +190,7 @@ def _assemble(obs, poses, depths):
     before the scatter. Terms cover all frames, then frame 0 is sliced off.
     """
     rot, trans = poses
-    y, q, z, ok, pixels = _project(obs, poses, depths)
+    y, q, z, ok, pixels = proj
     sw = np.sqrt(obs.weights * ok)
     # Chain rule through the world point y: d pixel / d y = dpi Rjᵀ, where dpi has
     # diagonal f / z and last column -f q / z², f = (fx, fy); d y / d xi_i = [-[y]x | I]
@@ -266,38 +274,15 @@ def ba_solve(graph: FactorGraph) -> BaReport:
     result = levenberg_marquardt(
         x0,
         lambda x: _evaluate(obs, *x),
-        lambda x: _assemble(obs, *x),
+        lambda x, info: _assemble(obs, *x, info[1]),
         _damped_schur_solve,
         lambda x, step: _retract(x, step, target_mld))
     (rot, trans), depths = result.x
     graph.poses = [Se3Pose(r, t) for r, t in zip(rot, trans)]
     graph.depths = np.split(depths, np.cumsum([len(a) for a in graph.anchors])[:-1])
-    initial_rmse, _ = result.initial_info
-    final_rmse, behind = result.info
+    (initial_rmse, _), _ = result.initial_info
+    (final_rmse, behind), _ = result.info
     return BaReport(iterations=result.iterations, initial_rmse=initial_rmse,
                     final_rmse=final_rmse, reason=result.reason,
                     cost_trace=result.cost_trace, n_behind=behind)
 
-
-def extrapolate_pose(history) -> Se3Pose:
-    """Linear-motion prediction: apply the latest relative motion once more."""
-    if len(history) < 2:
-        raise ValueError("pose extrapolation needs at least 2 poses")
-    prev, last = history[-2], history[-1]
-    return last.compose(prev.inverse().compose(last))
-
-
-def reproject_matches(graph: FactorGraph) -> int:
-    """Reset every edge's matches to the reprojection of its anchors.
-
-    After the reset all residuals are exactly zero, making the operation
-    idempotent. Returns the number of behind-camera anchors, whose matches
-    are left unchanged.
-    """
-    obs = _observations(graph)
-    *_, ok, pixels = _project(obs, *_state(graph))
-    matches = np.where(ok[:, None], pixels, obs.matches)
-    ends = np.cumsum([len(e.matches) for e in graph.edges])
-    for edge, m in zip(graph.edges, np.split(matches, ends[:-1])):
-        edge.matches = m
-    return int(np.sum(~ok))

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   ``x_j = R @ x_i + t``; for unit-baseline two-view poses t is a unit vector;
 * epipolar lines are homogeneous 3-vectors ``l`` satisfying
   ``l_x * x + l_y * y + l_z = 0`` in pixel coordinates;
-* depth of a point is its z-coordinate in the camera frame, so
-  ``backproject(a, d)`` has z equal to d.
+* depth of a point is its z-coordinate in the camera frame, so the point
+  of pixel ``a`` at depth d is ``d * K^-1 (a, 1)``.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -278,23 +278,9 @@ class Intrinsics:
                          [0.0, 0.0, 1.0]])
 
 
-def essential_from_pose(pose: RelativePose) -> np.ndarray:
-    """Essential matrix of a relative pose.
-
-    With the ``x_j = R x_i + t`` convention the matrix E = [t]x R satisfies
-    ``x̄_jᵀ E x̄_i = 0`` for calibrated rays, i.e. it maps frame-i points to
-    frame-j epipolar lines.
-    """
-    return skew(pose.translation_dir) @ pose.rotation
-
-
-def fundamental_from_essential(e, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
-    """F = K2^-T E K1^-1; K1 calibrates the anchor frame, K2 the match frame."""
-    return k2.inv_matrix().T @ np.asarray(e, dtype=float) @ k1.inv_matrix()
-
-
 def essential_from_fundamental(f, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
-    """Inverse of :func:`fundamental_from_essential`: E = K2ᵀ F K1."""
+    """Essential matrix of a fundamental matrix F = K2^-T E K1^-1: E = K2ᵀ F K1,
+    where K1 calibrates the anchor frame and K2 the match frame."""
     return k2.matrix().T @ np.asarray(f, dtype=float) @ k1.matrix()
 
 
@@ -309,51 +295,46 @@ def project(points, k: Intrinsics) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def backproject(a, depth, k: Intrinsics) -> np.ndarray:
-    """3D point of pixel ``a`` at the given depth; z of the result equals depth."""
-    a = np.asarray(a, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    if np.any(depth <= 0.0):
-        raise ValueError("depth must be positive")
-    x = (a[..., 0] - k.cx) / k.fx
-    y = (a[..., 1] - k.cy) / k.fy
-    return np.stack([x, y, np.ones_like(x)], axis=-1) * depth[..., None]
-
-
 def calibrated_rays(pixels, k: Intrinsics) -> np.ndarray:
     """Rays ``K^-1 (x, y, 1)`` of pixel rows (n, 2), with z = 1."""
     return np.concatenate([pixels, np.ones((len(pixels), 1))], axis=1) @ k.inv_matrix().T
 
 
-def triangulate_batch(pose: RelativePose, anchors, matches,
-                      k1: Intrinsics, k2: Intrinsics):
+def triangulate_batch(pose, anchors, matches, k1: Intrinsics, k2: Intrinsics):
     """Midpoint triangulation of anchor/match pixel pairs.
 
-    Returns (depth1, depth2, valid): signed depths of the midpoint in both
-    camera frames at unit-baseline scale, and a mask of pairs whose rays
-    subtend at least ``MIN_RAY_ANGLE``.
+    ``pose`` is one :class:`RelativePose` or a sequence of P of them, all
+    triangulated in one pass; a sequence adds a leading axis of length P to
+    every output. Returns (depth1, depth2, valid): signed depths of the
+    midpoint in both camera frames at unit-baseline scale, and a mask of
+    pairs whose rays subtend at least ``MIN_RAY_ANGLE``.
     """
+    single = isinstance(pose, RelativePose)
+    poses = [pose] if single else pose
+    rot = np.array([p.rotation for p in poses])
+    t = np.array([p.translation_dir for p in poses])
+    # Camera 2 center in frame 1 is -Rᵀ t, so the center offset is Rᵀ t.
+    w0 = np.array([p.rotation.T @ p.translation_dir for p in poses])[:, :, None]
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     matches = np.atleast_2d(np.asarray(matches, dtype=float))
-    rot, t = pose.rotation, pose.translation_dir
 
     u = calibrated_rays(anchors, k1)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v = calibrated_rays(matches, k2) @ rot  # rows become Rᵀ @ ray, the direction in frame 1
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
 
-    # Camera 2 center in frame 1 is -Rᵀ t, so the center offset is Rᵀ t.
-    w0 = rot.T @ t
-    b = np.sum(u * v, axis=1)
-    d = u @ w0
-    e = v @ w0
+    b = np.sum(u * v, axis=2)
+    d = (u @ w0)[:, :, 0]
+    e = (v @ w0)[:, :, 0]
     denom = 1.0 - b * b
     valid = np.sqrt(np.clip(denom, 0.0, None)) >= np.sin(MIN_RAY_ANGLE)
     denom = np.where(valid, denom, 1.0)
 
     s1 = (b * e - d) / denom
     s2 = (e - b * d) / denom
-    mid = 0.5 * (s1[:, None] * u + (-w0)[None, :] + s2[:, None] * v)
-    depth1 = mid[:, 2]
-    depth2 = mid @ rot.T[:, 2] + t[2]  # z-row of R @ mid + t
+    mid = 0.5 * (s1[:, :, None] * u + (-w0).transpose(0, 2, 1) + s2[:, :, None] * v)
+    depth1 = mid[:, :, 2]
+    depth2 = (mid @ rot[:, 2, :, None])[:, :, 0] + t[:, 2:]  # z-row of R @ mid + t
+    if single:
+        return depth1[0], depth2[0], valid[0]
     return depth1, depth2, valid

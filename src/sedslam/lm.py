@@ -4,8 +4,9 @@ The damping schedule follows Madsen, Nielsen & Tingleff, "Methods for
 Non-Linear Least Squares Problems" (2004): a step is accepted only when it
 lowers the cost, which halves the damping λ; any other outcome only
 multiplies λ by four. The normal equations therefore depend on the point
-alone: they are built at the start point and after each accepted step, and
-a rejected step re-solves the same system with the new damping.
+alone: they are built at the start point and after each accepted step, from
+the extras ``evaluate`` returned there, and a rejected step re-solves the
+same system with the new damping.
 
 It stops on the first of four tests and reports which as ``reason``: a step
 shorter than ``STEP_TOL`` ("step"), an accepted decrease below ``COST_TOL *
@@ -58,7 +59,9 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
 
     * ``evaluate(x) -> (cost, info)``: the cost at ``x`` plus whatever the
       caller needs at that point.
-    * ``linearize(x) -> system``: the undamped normal equations at ``x``.
+    * ``linearize(x, info) -> system``: the undamped normal equations at
+      ``x``, given the ``info`` that ``evaluate(x)`` returned, so work done
+      for the cost is not repeated.
     * ``solve(system, lam) -> step``: the damped step as a flat array, or
       None when the damped system fails to factor.
     * ``retract(x, step) -> x``: the updated point, or None when the step
@@ -82,7 +85,7 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
     while iterations < max_iters:
         iterations += 1
         if system is None:
-            system = linearize(x)
+            system = linearize(x, info)
         step = solve(system, lam)
         if step is not None and np.linalg.norm(step) < STEP_TOL:
             reason = "step"

@@ -199,6 +199,7 @@ class JoinEstimate:
     scale_b: ScaleEstimate
     report: SedSolveReport
     candidate: JoinCandidate
+    n_dropped: int  # anchors whose triangulation was not in front of both cameras
 
 
 def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandidate,
@@ -231,7 +232,7 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     world = (Sim3Transform.from_se3(kf_a.pose)
              .compose(cam)
              .compose(Sim3Transform.from_se3(kf_b.pose).inverse()))
-    return JoinEstimate(world, cam, scale_a, scale_b, report, candidate)
+    return JoinEstimate(world, cam, scale_a, scale_b, report, candidate, tri.n_dropped)
 
 
 def timestamp_key(ts: float) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,7 +221,7 @@ def decompose_essential(e) -> list[RelativePose]:
             RelativePose(r1, -t), RelativePose(r2, -t)]
 
 
-def front_depths(pose: RelativePose, mset: AnchorMatchSet):
+def front_depths(pose, mset: AnchorMatchSet):
     """Unit-baseline depths of every anchor and masks of those in front.
 
     Frame-0 anchors are triangulated with ``pose`` and frame-1 anchors with
@@ -228,11 +229,14 @@ def front_depths(pose: RelativePose, mset: AnchorMatchSet):
     anchor is in front when its rays subtend at least ``MIN_RAY_ANGLE`` and
     the midpoint lies in front of both cameras. Returns (depths0, front0,
     depths1, front1); a direction without anchors gives empty arrays.
+    ``pose`` may also be a sequence of P candidates, triangulated in one
+    pass per direction, which adds a leading axis of length P to each array.
     """
+    inverse = pose.inverse() if isinstance(pose, RelativePose) else [p.inverse() for p in pose]
     out = []
     k0, k1 = mset.intrinsics0, mset.intrinsics1
     for args in ((pose, mset.anchors0, mset.matches0, k0, k1),
-                 (pose.inverse(), mset.anchors1, mset.matches1, k1, k0)):
+                 (inverse, mset.anchors1, mset.matches1, k1, k0)):
         d1, d2, valid = triangulate_batch(*args)
         out += [d1, valid & (d1 > 0.0) & (d2 > 0.0)]
     return tuple(out)
@@ -240,11 +244,9 @@ def front_depths(pose: RelativePose, mset: AnchorMatchSet):
 
 def chirality_scores(candidates, mset: AnchorMatchSet) -> np.ndarray:
     """Weighted count of matches triangulating in front of both cameras."""
-    scores = np.zeros(len(candidates))
-    for idx, cand in enumerate(candidates):
-        _, front0, _, front1 = front_depths(cand, mset)
-        scores[idx] = float(np.sum(mset.weights0[front0])) + float(np.sum(mset.weights1[front1]))
-    return scores
+    _, front0, _, front1 = front_depths(candidates, mset)
+    return np.array([float(np.sum(mset.weights0[f0])) + float(np.sum(mset.weights1[f1]))
+                     for f0, f1 in zip(front0, front1)])
 
 
 def select_by_chirality(candidates, mset: AnchorMatchSet):
@@ -261,7 +263,7 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
     return candidates[best], best
 
 
-_GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
+_GEN = np.stack([skew(e) for e in np.eye(3)])  # so(3) generators
 
 
 def _epipolar(rot, t, mset: AnchorMatchSet):
@@ -284,49 +286,60 @@ def _epipolar(rot, t, mset: AnchorMatchSet):
     return lines, d, zeta, good, err
 
 
-def _sed_terms(pose: RelativePose, mset: AnchorMatchSet, with_jacobian: bool = False):
-    """Residuals (and Jacobians w.r.t. the forward update (xi_R, xi_t) at
-    identity) of the non-degenerate rows, frame-0 anchors first, and the
-    number of degenerate rows skipped."""
-    rot, t = pose.rotation, pose.translation_dir
-    rays, k_invt, matches, sw = mset._rows
-    lines, d, zeta, good, err = _epipolar(rot, t, mset)
-    n_skipped = int(np.sum(~good))
-    res = (sw[:, None] * err)[good]
-    if not with_jacobian:
-        return res, None, n_skipped
+class _SedTerms(NamedTuple):
+    """What :func:`_evaluate` computed at a pose: the number of degenerate
+    rows, the :func:`_epipolar` arrays of every row and the residuals of the
+    non-degenerate rows, frame-0 anchors first."""
 
-    # d err / d l, rows of shape (2, 3).
-    lx, ly = lines[:, 0], lines[:, 1]
-    mx, my = matches[:, 0], matches[:, 1]
-    inv_d = 1.0 / d
-    inv_d2 = inv_d * inv_d
-    j_l = np.empty((len(lines), 2, 3))
-    j_l[:, 0, 0] = -2.0 * lx * lx * zeta * inv_d2 + lx * mx * inv_d + zeta * inv_d
-    j_l[:, 0, 1] = -2.0 * lx * ly * zeta * inv_d2 + lx * my * inv_d
-    j_l[:, 0, 2] = lx * inv_d
-    j_l[:, 1, 0] = -2.0 * ly * lx * zeta * inv_d2 + ly * mx * inv_d
-    j_l[:, 1, 1] = -2.0 * ly * ly * zeta * inv_d2 + ly * my * inv_d + zeta * inv_d
-    j_l[:, 1, 2] = ly * inv_d
-
-    # d E / d xi of both directions (rotation first, then t), then d l / d xi as
-    # C-ordered rows (n, 6, 3) whichever side is empty: einsum rounds by layout.
-    tx = skew(t)
-    d_e = np.empty((2, 6, 3, 3))
-    for p, gen in enumerate(_GEN):
-        gt_vec = skew(gen @ t)
-        d_e[:, p] = tx @ gen @ rot, -rot.T @ gen @ tx
-        d_e[:, 3 + p] = gt_vec @ rot, rot.T @ gt_vec
-    d_lines = np.concatenate([np.einsum("pij,nj->npi", k @ de, x)
-                              for x, k, de in zip(rays, k_invt, d_e)])
-    jac = np.einsum("nij,npj->nip", j_l, d_lines)
-    jac = (sw[:, None, None] * jac)[good]
-    return res, jac, n_skipped
+    n_degenerate: int
+    epipolar: tuple
+    residuals: np.ndarray
 
 
 def _evaluate(pose: RelativePose, mset: AnchorMatchSet):
-    res, _, n_degenerate = _sed_terms(pose, mset)
-    return float(np.sum(res * res)), n_degenerate
+    """SED cost at ``pose`` and the :class:`_SedTerms` it was summed from."""
+    epi = _epipolar(pose.rotation, pose.translation_dir, mset)
+    *_, good, err = epi
+    res = (mset._rows[3][:, None] * err)[good]
+    return float(np.sum(res * res)), _SedTerms(len(good) - int(np.count_nonzero(good)), epi, res)
+
+
+def _jacobian(pose: RelativePose, mset: AnchorMatchSet, epi):
+    """Jacobians (m, 2, 6) of the non-degenerate residuals w.r.t. the forward
+    update (xi_R, xi_t) at identity, from the epipolar arrays at ``pose``."""
+    rot, t = pose.rotation, pose.translation_dir
+    rays, k_invt, matches, sw = mset._rows
+    lines, d, zeta, good, _ = epi
+
+    # d err / d l, rows of shape (2, 3): entry (i, j) is
+    # -2 l_i l_j zeta / d^2 + l_i m_j / d, plus zeta / d where i = j, with
+    # l_2 = 0 and m_2 = 1.
+    n_rows = len(lines)
+    inv_d = 1.0 / d
+    inv_d2 = inv_d * inv_d
+    l_xy, l_xy0 = lines[:, :2, None], lines * [1.0, 1.0, 0.0]
+    m_xy1 = np.concatenate([matches, np.ones((n_rows, 1))], axis=1)
+    j_l = (-2.0 * l_xy * l_xy0[:, None] * zeta[:, None, None] * inv_d2[:, None, None]
+           + l_xy * m_xy1[:, None] * inv_d[:, None, None])
+    diag = zeta * inv_d
+    j_l[:, 0, 0] += diag
+    j_l[:, 1, 1] += diag
+
+    # K^-T d E / d xi of both directions, rotation first, then t: [t]x G R and
+    # -Rᵀ G [t]x for the rotation generators G, [G t]x R and Rᵀ [G t]x for t,
+    # where [e_p x t]x = t e_pᵀ - e_p tᵀ. Flattened, each direction's six
+    # matrices form a 9 x 6 matrix D, and since l = K^-T E x a row's Jacobian
+    # block is (d err / d l ⊗ x) D: one product per direction.
+    tx = skew(t)
+    te = t[:, None] * np.eye(3)[:, None, :]
+    gt = te - te.transpose(0, 2, 1)
+    d_mat = np.concatenate([k_invt[0] @ np.concatenate([tx @ _GEN, gt]) @ rot,
+                            k_invt[1] @ rot.T @ np.concatenate([-_GEN @ tx, gt])])
+    d_mat = d_mat.reshape(2, 6, 9).transpose(0, 2, 1)
+    n0 = len(rays[0])
+    jac = np.concatenate([(j[:, :, :, None] * x[:, None, None, :]).reshape(-1, 9) @ dm
+                          for j, x, dm in zip((j_l[:n0], j_l[n0:]), rays, d_mat)])
+    return (sw[:, None, None] * jac.reshape(n_rows, 2, 6))[good]
 
 
 def sed_cost(pose: RelativePose, mset: AnchorMatchSet) -> float:
@@ -341,14 +354,13 @@ def sed_jacobian(pose: RelativePose, mset: AnchorMatchSet):
     Returns (residuals (m, 2), jacobians (m, 2, 6)) with the sqrt-weight of
     each term folded in, frame-0 direction first.
     """
-    res, jac, _ = _sed_terms(pose, mset, with_jacobian=True)
-    return res, jac
+    terms = _evaluate(pose, mset)[1]
+    return terms.residuals, _jacobian(pose, mset, terms.epipolar)
 
 
-def _normal_equations(pose: RelativePose, mset: AnchorMatchSet):
-    res, jac = sed_jacobian(pose, mset)
-    j = jac.reshape(-1, 6)
-    return j.T @ j, j.T @ res.reshape(-1)
+def _normal_equations(pose: RelativePose, terms: _SedTerms, mset: AnchorMatchSet):
+    j = _jacobian(pose, mset, terms.epipolar).reshape(-1, 6)
+    return j.T @ j, j.T @ terms.residuals.reshape(-1)
 
 
 def _damped_solve(system, lam):
@@ -374,11 +386,11 @@ def lm_refine_sed(init: RelativePose, mset: AnchorMatchSet,
     damping. ``n_degenerate`` counts the terms skipped at the final pose.
     """
     result = levenberg_marquardt(init, lambda pose: _evaluate(pose, mset),
-                                 lambda pose: _normal_equations(pose, mset),
+                                 lambda pose, terms: _normal_equations(pose, terms, mset),
                                  _damped_solve, _retract, max_iters)
     return SedSolveReport(pose=result.x, iterations=result.iterations,
                           initial_cost=result.cost_trace[0], final_cost=result.cost,
-                          reason=result.reason, n_degenerate=result.info)
+                          reason=result.reason, n_degenerate=result.info.n_degenerate)
 
 
 def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSet:

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 
-from sedslam.ba import _project
+from sedslam.ba import _observations, _project, _state
 from sedslam.errors import BehindCameraError, SedSlamError, TrajectoryFileError
-from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, backproject,
-                          essential_from_pose, fundamental_from_essential, project,
-                          rotation_angle, triangulate_batch)
+from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, project, rotation_angle,
+                          skew, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
+from sedslam.twoview import _epipolar
 
 
 class DegenerateLineError(SedSlamError):
@@ -24,6 +24,32 @@ class DegenerateLineError(SedSlamError):
 
 class ParallelRaysError(SedSlamError):
     """Triangulation rays are (near) parallel; no finite intersection."""
+
+
+def essential_from_pose(pose: RelativePose) -> np.ndarray:
+    """Essential matrix of a relative pose.
+
+    With the ``x_j = R x_i + t`` convention the matrix E = [t]x R satisfies
+    ``x̄_jᵀ E x̄_i = 0`` for calibrated rays, i.e. it maps frame-i points to
+    frame-j epipolar lines.
+    """
+    return skew(pose.translation_dir) @ pose.rotation
+
+
+def fundamental_from_essential(e, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
+    """F = K2^-T E K1^-1; K1 calibrates the anchor frame, K2 the match frame."""
+    return k2.inv_matrix().T @ np.asarray(e, dtype=float) @ k1.inv_matrix()
+
+
+def backproject(a, depth, k: Intrinsics) -> np.ndarray:
+    """3D point of pixel ``a`` at the given depth; z of the result equals depth."""
+    a = np.asarray(a, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    if np.any(depth <= 0.0):
+        raise ValueError("depth must be positive")
+    x = (a[..., 0] - k.cx) / k.fx
+    y = (a[..., 1] - k.cy) / k.fy
+    return np.stack([x, y, np.ones_like(x)], axis=-1) * depth[..., None]
 
 
 def epipolar_line(a, pose: RelativePose, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
@@ -63,6 +89,38 @@ def triangulate(pose: RelativePose, a, m, k1: Intrinsics, k2: Intrinsics) -> flo
     if not valid[0]:
         raise ParallelRaysError("triangulation rays are parallel")
     return float(depth1[0])
+
+
+_GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
+
+
+def sed_jacobian_einsum(pose: RelativePose, mset):
+    """SED residuals and Jacobian blocks with d E / d xi built one generator
+    at a time and the chain rule applied as two einsums, per row."""
+    rot, t = pose.rotation, pose.translation_dir
+    rays, k_invt, matches, sw = mset._rows
+    lines, d, zeta, good, err = _epipolar(rot, t, mset)
+    lx, ly = lines[:, 0], lines[:, 1]
+    mx, my = matches[:, 0], matches[:, 1]
+    inv_d = 1.0 / d
+    inv_d2 = inv_d * inv_d
+    j_l = np.empty((len(lines), 2, 3))
+    j_l[:, 0, 0] = -2.0 * lx * lx * zeta * inv_d2 + lx * mx * inv_d + zeta * inv_d
+    j_l[:, 0, 1] = -2.0 * lx * ly * zeta * inv_d2 + lx * my * inv_d
+    j_l[:, 0, 2] = lx * inv_d
+    j_l[:, 1, 0] = -2.0 * ly * lx * zeta * inv_d2 + ly * mx * inv_d
+    j_l[:, 1, 1] = -2.0 * ly * ly * zeta * inv_d2 + ly * my * inv_d + zeta * inv_d
+    j_l[:, 1, 2] = ly * inv_d
+    tx = skew(t)
+    d_e = np.empty((2, 6, 3, 3))
+    for p, gen in enumerate(_GEN):
+        gt_vec = skew(gen @ t)
+        d_e[:, p] = tx @ gen @ rot, -rot.T @ gen @ tx
+        d_e[:, 3 + p] = gt_vec @ rot, rot.T @ gt_vec
+    d_lines = np.concatenate([np.einsum("pij,nj->npi", k @ de, x)
+                              for x, k, de in zip(rays, k_invt, d_e)])
+    jac = np.einsum("nij,npj->nip", j_l, d_lines)
+    return (sw[:, None] * err)[good], (sw[:, None, None] * jac)[good]
 
 
 def reprojection_residual(graph, edge_index: int, k: int) -> np.ndarray:
@@ -112,6 +170,30 @@ def assemble_rows(obs, poses, depths):
     h_dd = _scatter(obs.d, np.sum(j_d * j_d, axis=1), n_depth)
     g_d = _scatter(obs.d, np.sum(j_d * rw, axis=1), n_depth)
     return h_pp[6:, 6:], h_pd[6:], h_dd, g_p[6:], g_d
+
+
+def extrapolate_pose(history) -> Se3Pose:
+    """Linear-motion prediction: apply the latest relative motion once more."""
+    if len(history) < 2:
+        raise ValueError("pose extrapolation needs at least 2 poses")
+    prev, last = history[-2], history[-1]
+    return last.compose(prev.inverse().compose(last))
+
+
+def reproject_matches(graph) -> int:
+    """Reset every edge's matches to the reprojection of its anchors.
+
+    After the reset all residuals are exactly zero, making the operation
+    idempotent. Returns the number of behind-camera anchors, whose matches
+    are left unchanged.
+    """
+    obs = _observations(graph)
+    *_, ok, pixels = _project(obs, *_state(graph))
+    matches = np.where(ok[:, None], pixels, obs.matches)
+    ends = np.cumsum([len(e.matches) for e in graph.edges])
+    for edge, m in zip(graph.edges, np.split(matches, ends[:-1])):
+        edge.matches = m
+    return int(np.sum(~ok))
 
 
 def select_by_ground_truth(candidates, gt: RelativePose) -> RelativePose:

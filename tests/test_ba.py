@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import assemble_rows, reprojection_residual
+from oracles import assemble_rows, extrapolate_pose, reproject_matches, reprojection_residual
 
 from sedslam import ba
-from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve, extrapolate_pose, reproject_matches
+from sedslam.ba import Edge, FactorGraph, ba_cost, ba_solve
 from sedslam.geom import Intrinsics, Se3Pose, rotation_angle, so3_exp, so3_log
 from sedslam.synth import make_ba_graph
 
@@ -173,7 +173,8 @@ class TestBaSolve:
                                  depth_perturb_rel=0.05)[0]
 
         fast = solve(graph())
-        monkeypatch.setattr(ba, "_assemble", assemble_rows)
+        monkeypatch.setattr(ba, "_assemble",
+                            lambda obs, poses, depths, proj: assemble_rows(obs, poses, depths))
         assert solve(graph()) == pytest.approx(fast, rel=1e-9)
 
     def test_too_few_frames_or_anchors(self):
@@ -192,7 +193,8 @@ class TestAssemble:
         # camera in place of the target camera shows.
         cams = [Intrinsics(240.0 + 10 * f, 270.0 - 5 * f, 250.0 + f, 262.0 - f) for f in range(3)]
         graph = FactorGraph(graph.poses, cams, graph.anchors, graph.depths, graph.edges)
-        h_pp, _, h_dd, g_p, g_d = ba._assemble(ba._observations(graph), *ba._state(graph))
+        obs, x = ba._observations(graph), ba._state(graph)
+        h_pp, _, h_dd, g_p, g_d = ba._assemble(obs, *x, ba._project(obs, *x))
         r0 = weighted_residuals(graph)
         h = 1e-6
 
@@ -264,7 +266,7 @@ def test_assembly_without_rows_is_float(drop):
         graph.edges = [Edge(e.i, e.j, np.zeros((0, 2)), np.zeros(0)) if e.i == 1 else e
                        for e in graph.edges]
     obs, x = ba._observations(graph), ba._state(graph)
-    for fast, rows in zip(ba._assemble(obs, *x), assemble_rows(obs, *x)):
+    for fast, rows in zip(ba._assemble(obs, *x, ba._project(obs, *x)), assemble_rows(obs, *x)):
         assert fast.dtype == np.float64
         assert fast.shape == rows.shape
         assert np.max(np.abs(fast - rows), initial=0.0) <= 1e-12 * np.max(np.abs(rows), initial=0.0)
@@ -274,7 +276,7 @@ def test_assembly_without_rows_is_float(drop):
 @given(graph=_assembly_graphs())
 def test_assembly_equals_row_by_row_oracle(graph):
     obs, x = ba._observations(graph), ba._state(graph)
-    for fast, rows in zip(ba._assemble(obs, *x), assemble_rows(obs, *x)):
+    for fast, rows in zip(ba._assemble(obs, *x, ba._project(obs, *x)), assemble_rows(obs, *x)):
         assert fast.shape == rows.shape
         assert np.max(np.abs(fast - rows), initial=0.0) <= 1e-12 * np.max(np.abs(rows), initial=0.0)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (DegenerateLineError, ParallelRaysError, epipolar_line, is_degenerate_line,
+from oracles import (DegenerateLineError, ParallelRaysError, backproject, epipolar_line,
+                     essential_from_pose, fundamental_from_essential, is_degenerate_line,
                      point_line_error, rotation_from_quat_scalar, rotation_rejection, triangulate)
 
 from sedslam.errors import BehindCameraError
@@ -11,9 +12,6 @@ from sedslam.geom import (
     RelativePose,
     Se3Pose,
     Sim3Transform,
-    backproject,
-    essential_from_pose,
-    fundamental_from_essential,
     project,
     quat_from_rotation,
     rotation_from_quat,

@@ -5,15 +5,18 @@ from sedslam import lm
 
 
 def quadratic(offset=0.0):
-    """Cost |x - (1, -2)|^2 + offset as (evaluate, linearize, solve, retract)."""
+    """Cost |x - (1, -2)|^2 + offset as (evaluate, linearize, solve, retract).
+
+    ``evaluate``'s extras are the point as a list, so a test can tell which
+    point the extras that ``linearize`` receives were computed at."""
     target = np.array([1.0, -2.0])
 
     def solve(system, lam):
         h, g = system
         return np.linalg.solve(h + lam * np.eye(2), -g)
 
-    return (lambda x: (float(np.sum((x - target) ** 2)) + offset, None),
-            lambda x: (np.eye(2), x - target),
+    return (lambda x: (float(np.sum((x - target) ** 2)) + offset, x.tolist()),
+            lambda x, info: (np.eye(2), x - target),
             solve,
             lambda x, step: x + step)
 
@@ -27,9 +30,9 @@ def test_failed_steps_stop_once_damping_passes_lambda_max(failing):
         retract = lambda x, step: None  # noqa: E731
     linearized = []
 
-    def counting(x):
+    def counting(x, info):
         linearized.append(x)
-        return linearize(x)
+        return linearize(x, info)
 
     result = lm.levenberg_marquardt(np.zeros(2), evaluate, counting, solve, retract,
                                     max_iters=50)
@@ -71,9 +74,9 @@ def test_linearizes_only_at_accepted_points():
     evaluate, linearize, solve, retract = quadratic()
     linearized, retracted = [], []
 
-    def recording(x):
-        linearized.append(x)
-        return linearize(x)
+    def recording(x, info):
+        linearized.append((x, info))
+        return linearize(x, info)
 
     def first_fails(x, step):
         retracted.append(x)
@@ -82,4 +85,5 @@ def test_linearizes_only_at_accepted_points():
     result = lm.levenberg_marquardt(np.zeros(2), evaluate, recording, solve, first_fails)
     assert result.reason == "cost"
     assert len(linearized) == result.iterations - 1
-    assert [evaluate(x)[0] for x in linearized] == list(result.cost_trace[:-1])
+    assert [evaluate(x)[0] for x, _ in linearized] == list(result.cost_trace[:-1])
+    assert [info for _, info in linearized] == [x.tolist() for x, _ in linearized]

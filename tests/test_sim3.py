@@ -14,7 +14,8 @@ from sedslam.errors import (
     TimestampCollisionError,
     TooFewDepthsError,
 )
-from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_angle, so3_exp
+from sedslam.geom import (RelativePose, Se3Pose, Sim3Transform, calibrated_rays, rotation_angle,
+                          so3_exp)
 from sedslam.metrics import ate_rmse
 from sedslam.sim3 import (
     JoinCandidate,
@@ -79,6 +80,23 @@ class TestTriangulatedDepths:
         vo_b = pair.traj_b.keyframes[ib].depths[cand.anchor_ids1] * pair.gt_sim3.scale
         err_b = np.abs(tri.depths1[tri.valid1] * baseline - vo_b[tri.valid1])
         assert err_b.max() < 1e-6
+
+    def test_join_reports_dropped_depths(self):
+        # A match on its anchor's rotated ray has no parallax, so its depth is
+        # dropped; zero weights keep the solve itself unchanged.
+        pair = make_trajectory_pair(8)
+        ia, ib = pair.pairs[0]
+        cand = build_join_candidate(pair, ia, ib)
+        pose, _ = gt_relative_pose(pair.traj_a.keyframes[ia].pose, pair.poses_b_metric[ib])
+        m = cand.matches
+        on_ray = calibrated_rays(m.anchors0[:3], m.intrinsics0) @ pose.rotation.T
+        on_ray = on_ray @ m.intrinsics1.matrix().T
+        matches0, weights0 = m.matches0.copy(), m.weights0.copy()
+        matches0[:3], weights0[:3] = on_ray[:, :2] / on_ray[:, 2:], 0.0
+        cand.matches = AnchorMatchSet(m.anchors0, matches0, weights0, m.anchors1, m.matches1,
+                                      m.weights1, m.intrinsics0, m.intrinsics1, m.size0, m.size1)
+        est = estimate_join(pair.traj_a, pair.traj_b, cand)
+        assert est.n_dropped == triangulated_depths(cand).n_dropped == 3
 
     def test_pure_rotation_pair_has_no_valid_depths(self):
         # Matches generated by a camera rotating about its own center obey a

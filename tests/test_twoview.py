@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import epipolar_line, is_degenerate_line, point_line_error, select_by_ground_truth
+from oracles import (epipolar_line, essential_from_pose, is_degenerate_line, point_line_error,
+                     sed_jacobian_einsum, select_by_ground_truth)
+from test_acceptance import random_config
 
 from sedslam import twoview
 from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
@@ -10,7 +12,6 @@ from sedslam.geom import (
     Intrinsics,
     RelativePose,
     essential_from_fundamental,
-    essential_from_pose,
     so3_exp,
     so3_log,
 )
@@ -364,22 +365,36 @@ class TestLmRefine:
         # A step is accepted exactly when its cost is below every cost
         # evaluated before it. That a rejected step is re-solved without
         # linearizing is pinned in test_lm.py on a cost that rejects for certain.
-        sed_terms = twoview._sed_terms
-        calls = []
+        evaluate, normal_equations, epipolar = (twoview._evaluate, twoview._normal_equations,
+                                                twoview._epipolar)
+        costs, evaluated, linearized, epipolar_calls = [], [], [], []
 
-        def recording(pose, mset, with_jacobian=False):
-            res, jac, n = sed_terms(pose, mset, with_jacobian)
-            calls.append((with_jacobian, float(np.sum(res * res))))
-            return res, jac, n
+        def recording_evaluate(pose, mset):
+            cost, terms = evaluate(pose, mset)
+            costs.append(cost)
+            evaluated.append(terms)
+            return cost, terms
 
-        monkeypatch.setattr(twoview, "_sed_terms", recording)
+        def recording_normal_equations(pose, terms, mset):
+            linearized.append(terms)
+            return normal_equations(pose, terms, mset)
+
+        def recording_epipolar(*args):
+            epipolar_calls.append(1)
+            return epipolar(*args)
+
+        monkeypatch.setattr(twoview, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(twoview, "_normal_equations", recording_normal_equations)
+        monkeypatch.setattr(twoview, "_epipolar", recording_epipolar)
         noise = NoiseModel(gaussian_sigma=0.5, outlier_fraction=0.3, outlier_weight=0.01)
         report = solve_two_view(make_two_view(0, 96, noise=noise)[0])
-        costs = [cost for jac, cost in calls if not jac]
         accepted = sum(costs[i] < min(costs[:i]) for i in range(1, len(costs)))
-        linearizations = sum(jac for jac, _ in calls)
         assert min(costs) == report.final_cost
-        assert linearizations <= 1 + accepted
+        assert len(linearized) <= 1 + accepted
+        # Each linearization reuses the terms of the point's evaluation, so the
+        # epipolar lines are computed once per evaluated pose plus once to clamp.
+        assert all(any(terms is seen for seen in evaluated) for terms in linearized)
+        assert len(epipolar_calls) == len(costs) + 1
 
     def test_criterion_4_inputs_all_converge(self):
         # SED costs near 1e4 round in steps above COST_TOL; the decrease test
@@ -434,6 +449,14 @@ class TestClamp:
                 a[0] = 0.0
 
 
+def _assert_jacobian_equals_einsum_oracle(pose, mset):
+    res, jac = sed_jacobian(pose, mset)
+    ref_res, ref_jac = sed_jacobian_einsum(pose, mset)
+    assert np.array_equal(res, ref_res) and jac.shape == ref_jac.shape
+    scale = np.linalg.norm(ref_jac, axis=(1, 2))
+    assert np.all(np.linalg.norm(jac - ref_jac, axis=(1, 2)) <= 1e-12 * scale)
+
+
 @st.composite
 def _scored_set(draw):
     """A pose and a set with random calibrations, zero weights, possibly empty
@@ -477,6 +500,33 @@ def test_residual_rows_equal_scalar_oracle(case):
     scale = np.maximum(1.0, np.linalg.norm(expected, axis=1, keepdims=True))
     assert np.all(np.abs(res - expected) <= 1e-12 * scale)
     assert lm_refine_sed(pose, mset, max_iters=0).n_degenerate == n_degenerate
+    _assert_jacobian_equals_einsum_oracle(pose, mset)
+
+
+def test_jacobian_equals_einsum_oracle_on_criterion_1_configs():
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        _assert_jacobian_equals_einsum_oracle(*random_config(rng))
+
+
+@settings(max_examples=200)
+@given(case=_scored_set(), n_random=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_chirality_equals_one_candidate_at_a_time(case, n_random, seed):
+    pose, mset = case
+    rng = np.random.default_rng(seed)
+    cands = decompose_essential(essential_from_pose(pose))
+    for _ in range(n_random):
+        t = rng.normal(size=3)
+        cands.append(RelativePose(so3_exp(rng.normal(size=3)), t / np.linalg.norm(t)))
+    batched = twoview.front_depths(cands, mset)
+    expected = []
+    for k, cand in enumerate(cands):
+        single = twoview.front_depths(cand, mset)
+        for many, one in zip(batched, single):
+            assert np.array_equal(many[k], one)
+        _, front0, _, front1 = single
+        expected.append(float(np.sum(mset.weights0[front0])) + float(np.sum(mset.weights1[front1])))
+    assert chirality_scores(cands, mset).tolist() == expected
 
 
 class TestSolveTwoView:
