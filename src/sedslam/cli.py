@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geom import Sim3Transform, quat_from_rotation, so3_exp
 from .metrics import ate_rmse
-from .sim3 import JoinCandidate, Trajectory, estimate_join, merge_trajectories
+from .sim3 import JoinCandidate, Trajectory, check_disjoint, estimate_join, merge_trajectories
 from .twoview import solve_two_view
 
 
@@ -83,10 +83,11 @@ def cmd_join(args) -> int:
         raise TrajectoryFileError("join frame index out of range")
     n0, n1 = len(mset.anchors0), len(mset.anchors1)
     for name, traj, frame, n in (("A", traj_a, args.frame_a, n0), ("B", traj_b, args.frame_b, n1)):
-        n_depths = len(traj.keyframes[frame].depths)
+        n_depths = int(traj.depth_offsets[frame + 1] - traj.depth_offsets[frame])
         if n_depths != n:
             raise TrajectoryFileError(
                 f"frame {frame} of trajectory {name} has {n_depths} depths for {n} matches")
+    check_disjoint(traj_a, traj_b)
     candidate = JoinCandidate(args.frame_a, args.frame_b, mset,
                               np.arange(n0), np.arange(n1))
     est = estimate_join(traj_a, traj_b, candidate, ratio_bound=args.ratio_bound,

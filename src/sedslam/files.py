@@ -13,7 +13,9 @@ Trajectories use the TUM convention ``timestamp tx ty tz qx qy qz qw``
 ``timestamp anchor_id depth`` where anchor ids are contiguous from 0 per
 timestamp and row order pairs them with the match-file rows of that frame.
 Every sidecar timestamp must match a pose, and timestamps are written and
-compared at ``sim3.TIMESTAMP_DECIMALS`` decimals.
+compared at ``sim3.TIMESTAMP_DECIMALS`` decimals. Trajectories are read into
+and written from the columns of :class:`~sedslam.sim3.Trajectory`, with no
+object per pose.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import json
 import math
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
 from .errors import MatchFileError, TrajectoryFileError
-from .geom import Intrinsics, Se3Pose, quat_from_rotation, rotation_from_quat
-from .sim3 import TIMESTAMP_DECIMALS, Keyframe, Trajectory, timestamp_key
+from .geom import Intrinsics, quat_from_rotation, rotation_from_quat
+from .sim3 import TIMESTAMP_DECIMALS, Trajectory, timestamp_key
 from .twoview import AnchorMatchSet, _as_size
 
 # Lines the trajectory and sidecar readers take from a file at a time.
@@ -121,40 +123,43 @@ def _parse_match_lines(lines) -> AnchorMatchSet:
 
 def _check_stamps(traj: Trajectory) -> None:
     """Raise ``ValueError`` if two keyframe timestamps print alike."""
-    ts = traj.timestamps().tolist()
-    for a, b in zip(ts, ts[1:]):
-        if timestamp_key(a) == timestamp_key(b):
-            raise ValueError(f"timestamps {a!r} and {b!r} both print as {a:.{TIMESTAMP_DECIMALS}f}")
+    alike = np.flatnonzero(np.diff(traj.timestamp_keys) == 0.0)
+    if alike.size:
+        a, b = traj.timestamps[alike[0]:alike[0] + 2].tolist()
+        raise ValueError(f"timestamps {a!r} and {b!r} both print as {a:.{TIMESTAMP_DECIMALS}f}")
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write ``traj``; no keyframes, or timestamps that print alike, raise before opening."""
-    if not traj.keyframes:
+    if not len(traj):
         raise ValueError("trajectory holds no keyframes")
     _check_stamps(traj)
-    lines = ["# timestamp tx ty tz qx qy qz qw"]
-    for kf in traj.keyframes:
-        t = kf.pose.translation
-        q = quat_from_rotation(kf.pose.rotation)
-        lines.append(f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} {t[0]:.9f} {t[1]:.9f} {t[2]:.9f} "
-                     f"{q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}")
+    rows = np.concatenate([traj.timestamps[:, None], traj.translations,
+                           quat_from_rotation(traj.rotations)], axis=1)
+    line = f"%.{TIMESTAMP_DECIMALS}f" + " %.9f" * 7 + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# timestamp tx ty tz qx qy qz qw\n")
+        fh.writelines(map(line.__mod__, map(tuple, rows.tolist())))
 
 
 def write_depth_sidecar(path, traj: Trajectory) -> None:
     """Write the depths of ``traj`` at 9 decimals; timestamps that print
     alike, or a depth printed as 0, raise before opening."""
     _check_stamps(traj)
-    lines = ["# timestamp anchor_id depth"]
-    for kf in traj.keyframes:
-        if kf.depths.size and float(f"{kf.depths.min():.9f}") == 0.0:
-            raise ValueError(f"depth {kf.depths.min()} at timestamp "
-                             f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} prints as 0.000000000")
-        for idx, d in enumerate(kf.depths):
-            lines.append(f"{kf.timestamp:.{TIMESTAMP_DECIMALS}f} {idx} {d:.9f}")
+    offsets, depths = traj.depth_offsets, traj.depths
+    # Only a depth below 1e-9 can print as 0; the first is in the first such keyframe.
+    for k in np.flatnonzero(depths < 1e-9).tolist():
+        if f"{depths[k]:.9f}" == "0.000000000":
+            row = int(np.searchsorted(offsets, k, side="right")) - 1
+            raise ValueError(f"depth {depths[offsets[row]:offsets[row + 1]].min()} at timestamp "
+                             f"{traj.timestamps[row]:.{TIMESTAMP_DECIMALS}f} prints as 0.000000000")
+    counts = np.diff(offsets)
+    stamps = (f"{t:.{TIMESTAMP_DECIMALS}f}" for t in traj.timestamps.tolist())
+    ids = np.arange(len(depths)) - np.repeat(offsets[:-1], counts)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# timestamp anchor_id depth\n")
+        fh.writelines(map("{} {} {:.9f}\n".format,
+                          chain.from_iterable(map(repeat, stamps, counts.tolist())), ids, depths))
 
 
 def _blocks(fh):
@@ -321,8 +326,7 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
     if not blocks:
         raise TrajectoryFileError("trajectory file holds no poses")
     values = np.concatenate(blocks)
-    stamps = values[:, 0].tolist()
-    keys = [timestamp_key(t) for t in stamps]
+    keys = [timestamp_key(t) for t in values[:, 0].tolist()]
     posed = set(keys)
     orphans = [k for k in depths if k not in posed]
     if orphans:
@@ -333,9 +337,10 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
         raise TrajectoryFileError(
             f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
     no_depths = np.zeros(0)
-    return Trajectory(tuple(
-        Keyframe(t, Se3Pose(rot, p), depths.get(k, no_depths))
-        for t, k, rot, p in zip(stamps, keys, rotation_from_quat(values[:, 4:]), values[:, 1:4])))
+    per_pose = [depths.get(k, no_depths) for k in keys]
+    return Trajectory.from_columns(values[:, 0], rotation_from_quat(values[:, 4:]), values[:, 1:4],
+                                   np.concatenate([no_depths] + per_pose),
+                                   np.cumsum([0] + list(map(len, per_pose))))
 
 
 def sim3_to_dict(sim3) -> dict:

@@ -80,29 +80,32 @@ def rotation_angle(rot) -> float:
 
 
 def quat_from_rotation(rot) -> np.ndarray:
-    """Unit quaternion (qx, qy, qz, qw) of a rotation matrix, with qw >= 0."""
+    """Unit quaternion (qx, qy, qz, qw) of a rotation matrix, with qw >= 0; an
+    (..., 3, 3) array of matrices gives an (..., 4) array of quaternions.
+
+    Each matrix takes the branch it would alone (trace > 0, else its largest
+    diagonal entry) and the same floating-point operations; the norm is one
+    BLAS dot per quaternion, as for a single vector.
+    """
     r = np.asarray(rot, dtype=float)
-    tr = np.trace(r)
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s, 0.25 * s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([0.25 * s, (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s, (r[2, 1] - r[1, 2]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 1] + r[1, 0]) / s, 0.25 * s,
-                      (r[1, 2] + r[2, 1]) / s, (r[0, 2] - r[2, 0]) / s])
-    else:
-        s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array([(r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s,
-                      0.25 * s, (r[1, 0] - r[0, 1]) / s])
-    q = q / np.linalg.norm(q)
-    if q[3] < 0.0:
-        q = -q
-    return q
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = np.moveaxis(
+        r.reshape(r.shape[:-2] + (9,)), -1, 0)
+    tr = r00 + r11 + r22
+    case = np.where(tr > 0.0, 0, np.where((r00 > r11) & (r00 > r22), 1,
+                                          np.where(r11 > r22, 2, 3)))
+    big = np.stack([tr + 1.0, 1.0 + r00 - r11 - r22, 1.0 + r11 - r00 - r22,
+                    1.0 + r22 - r00 - r11])
+    s = np.sqrt(np.take_along_axis(big, case[None], 0)[0]) * 2.0
+    ax, ay, az = r21 - r12, r02 - r20, r10 - r01
+    bxy, bxz, byz = r01 + r10, r02 + r20, r12 + r21
+    # Per case, the numerators over s of (qx, qy, qz, qw); the case's own
+    # component, where tr stands, is s / 4 instead.
+    num = np.stack([np.stack(c, -1) for c in ((ax, ay, az, tr), (tr, bxy, bxz, ax),
+                                              (bxy, tr, byz, ay), (bxz, byz, tr, az))])
+    q = np.take_along_axis(num, case[None, ..., None], 0)[0] / s[..., None]
+    q = np.where(case[..., None] == (1, 2, 3, 0), 0.25 * s[..., None], q)
+    q = q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    return np.where(q[..., 3:] < 0.0, -q, q)
 
 
 def rotation_from_quat(q) -> np.ndarray:
@@ -118,6 +121,19 @@ def rotation_from_quat(q) -> np.ndarray:
     ], -2)
 
 
+def _rotation_residuals(a, b, c, d, e, f, g, h, i):
+    """The entries of R Rᵀ - I, diagonal first, and det R - 1 of the matrix
+    with rows (a, b, c), (d, e, f), (g, h, i), given as floats or as arrays.
+
+    An off-diagonal NaN (inf - inf) needs an entry whose row already has an
+    infinite squared norm, so a matrix with one fails on the diagonal too.
+    """
+    gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0,
+            g * g + h * h + i * i - 1.0, a * d + b * e + c * f, a * g + b * h + c * i,
+            d * g + e * h + f * i)
+    return gram, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0
+
+
 def _as_rotation(rot) -> np.ndarray:
     rot = np.array(rot, dtype=float)
     if rot.shape != (3, 3):
@@ -125,18 +141,23 @@ def _as_rotation(rot) -> np.ndarray:
     entries = rot.ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise ValueError("rotation must be finite")
-    a, b, c, d, e, f, g, h, i = entries
-    # Entries of R Rᵀ - I, diagonal first: an off-diagonal NaN (inf - inf)
-    # needs an entry whose row already has an infinite squared norm.
-    gram = (a * a + b * b + c * c - 1.0, d * d + e * e + f * f - 1.0,
-            g * g + h * h + i * i - 1.0, a * d + b * e + c * f, a * g + b * h + c * i,
-            d * g + e * h + f * i)
+    gram, det = _rotation_residuals(*entries)
     if max(map(abs, gram)) > _ORTHO_TOL:
         raise ValueError("rotation matrix is not orthonormal")
-    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > _ORTHO_TOL:
+    if abs(det) > _ORTHO_TOL:
         raise ValueError("rotation matrix must have det +1")
     rot.flags.writeable = False
     return rot
+
+
+def _rotation_defects(rot) -> np.ndarray:
+    """(3, n) masks of the matrices of an (n, 3, 3) stack that fail each check
+    of :func:`_as_rotation` after its shape check: not finite, not
+    orthonormal, det not +1. The arithmetic is that of the single check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, det = _rotation_residuals(*rot.reshape(-1, 9).T)
+        return np.stack([~np.isfinite(rot).all(axis=(1, 2)),
+                         (np.abs(gram) > _ORTHO_TOL).any(axis=0), np.abs(det) > _ORTHO_TOL])
 
 
 def _as_vector(v, name="vector") -> np.ndarray:

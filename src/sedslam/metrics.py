@@ -113,12 +113,13 @@ def ate_rmse(est: Trajectory, gt: Trajectory, mode: str = "sim3",
     """
     if mode not in ("sim3", "se3"):
         raise ValueError(f"unknown alignment mode {mode!r}")
-    matches = associate_timestamps(est.timestamps(), gt.timestamps(), max_dt)
+    matches = associate_timestamps(est.timestamps, gt.timestamps, max_dt)
     if len(matches) < 3:
         raise AssociationError(
             f"only {len(matches)} associated pose pairs (need at least 3)")
-    p_est = est.positions()[[i for i, _ in matches]]
-    p_gt = gt.positions()[[j for _, j in matches]]
+    i, j = np.array(matches).T
+    p_est = est.translations[i]
+    p_gt = gt.translations[j]
     scale, rot, t = umeyama_alignment(p_est, p_gt, with_scale=(mode == "sim3"))
     residual = p_gt - (scale * (p_est @ rot.T) + t)
     return float(np.sqrt(np.mean(np.sum(residual * residual, axis=1))))

@@ -9,17 +9,22 @@ over the sorted candidates in O(n log n) time and O(n) memory for any input,
 and returns exactly what scoring every pair would. The two per-side
 magnitudes combine with the solved rotation into a similarity transform
 that maps one trajectory into the other's reference frame.
+
+Trajectories are held as read-only columns (see :class:`Trajectory`); the
+merge maps all of trajectory b's poses and depths at once and interleaves
+the two by one stable sort of the timestamps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError, _staged
-from .geom import RelativePose, Se3Pose, Sim3Transform
+from .geom import RelativePose, Se3Pose, Sim3Transform, _rotation_defects
 from .twoview import AnchorMatchSet, SedSolveReport, front_depths, solve_two_view
 
 # Default inlier band of the depth-ratio vote.
@@ -35,6 +40,10 @@ TIMESTAMP_DECIMALS = 6
 
 @dataclass(frozen=True, eq=False)
 class Keyframe:
+    """A keyframe's timestamp, world-from-camera pose and anchor depths, checked
+    and copied when built; :class:`Trajectory` hands out views of its columns
+    in this form."""
+
     timestamp: float
     pose: Se3Pose
     depths: np.ndarray
@@ -50,26 +59,113 @@ class Keyframe:
         object.__setattr__(self, "depths", d)
 
 
-@dataclass(frozen=True, eq=False)
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` as they
+    are, without the checks and copies of its ``__post_init__``."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """Timestamp-ordered keyframes with world-from-camera poses."""
+    """Timestamp-ordered keyframes with world-from-camera poses, held as
+    read-only columns.
 
-    keyframes: tuple[Keyframe, ...]
+    ``timestamps`` (N,), ``rotations`` (N, 3, 3) and ``translations`` (N, 3)
+    hold one row per keyframe; ``depths`` holds every keyframe's depths in
+    one flat array, keyframe i's from ``depth_offsets[i]`` up to
+    ``depth_offsets[i + 1]``. ``Trajectory(keyframes)`` gathers keyframes
+    into columns and :meth:`from_columns` takes columns; either way each
+    column is checked once, and the first keyframe that fails a check of
+    :class:`Se3Pose` or :class:`Keyframe` raises what building it would.
+    :meth:`keyframe` and ``keyframes`` are views of the columns.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "keyframes", tuple(self.keyframes))
-        ts = self.timestamps()
-        if len(ts) > 1 and np.any(np.diff(ts) <= 0.0):
+    timestamps: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+    depths: np.ndarray
+    depth_offsets: np.ndarray
+
+    def __init__(self, keyframes):
+        kfs = tuple(keyframes)
+        self._set_columns(np.array([k.timestamp for k in kfs], dtype=float),
+                          np.array([k.pose.rotation for k in kfs], dtype=float).reshape(-1, 3, 3),
+                          np.array([k.pose.translation for k in kfs], dtype=float).reshape(-1, 3),
+                          np.concatenate([np.zeros(0)] + [k.depths for k in kfs]),
+                          np.cumsum([0] + [len(k.depths) for k in kfs]))
+
+    @classmethod
+    def from_columns(cls, timestamps, rotations, translations, depths,
+                     depth_offsets) -> "Trajectory":
+        """The trajectory of copies of the given columns."""
+        traj = cls.__new__(cls)
+        traj._set_columns(np.array(timestamps, dtype=float).reshape(-1),
+                          np.array(rotations, dtype=float), np.array(translations, dtype=float),
+                          np.array(depths, dtype=float).reshape(-1), np.array(depth_offsets))
+        return traj
+
+    def _set_columns(self, ts, rot, trans, d, off):
+        """Check the columns and keep them, read-only; they are not copied."""
+        n = len(ts)
+        if rot.shape != (n, 3, 3) or trans.shape != (n, 3):
+            raise ValueError(f"{n} timestamps need rotations of shape ({n}, 3, 3) and "
+                             f"translations of shape ({n}, 3), got {rot.shape} and {trans.shape}")
+        if not (off.dtype.kind in "iu" and off.shape == (n + 1,) and off[0] == 0
+                and off[-1] == len(d) and np.all(off[1:] >= off[:-1])):
+            raise ValueError(f"depth offsets must be {n + 1} integers rising from 0 "
+                             f"to the {len(d)} depths")
+        _check_rows(ts, rot, trans, d, off)
+        if n > 1 and np.any(np.diff(ts) <= 0.0):
             raise ValueError("keyframe timestamps must be strictly increasing")
+        for name, column in (("timestamps", ts), ("rotations", rot), ("translations", trans),
+                             ("depths", d), ("depth_offsets", off.astype(np.intp))):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self):
-        return len(self.keyframes)
+        return len(self.timestamps)
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([k.timestamp for k in self.keyframes])
+    def keyframe(self, i: int) -> Keyframe:
+        """Keyframe ``i`` as a read-only view of the columns."""
+        i = range(len(self))[i]
+        pose = _unchecked(Se3Pose, self.rotations[i], self.translations[i])
+        lo, hi = self.depth_offsets[i:i + 2]
+        return _unchecked(Keyframe, float(self.timestamps[i]), pose, self.depths[lo:hi])
 
-    def positions(self) -> np.ndarray:
-        return np.array([k.pose.translation for k in self.keyframes])
+    @cached_property
+    def keyframes(self) -> tuple[Keyframe, ...]:
+        """Every keyframe as a read-only view, built on first use."""
+        return tuple(map(self.keyframe, range(len(self))))
+
+    @cached_property
+    def timestamp_keys(self) -> list[float]:
+        """:func:`timestamp_key` of every timestamp."""
+        return list(map(timestamp_key, self.timestamps.tolist()))
+
+
+def _check_rows(ts, rot, trans, depths, offsets) -> None:
+    """Raise what building the first bad keyframe would: the checks of
+    :class:`Se3Pose`, then those of :class:`Keyframe`, in their order."""
+    bad_depth = ~((depths > 0.0) & (depths < math.inf))
+    defects = np.vstack([
+        _rotation_defects(rot),
+        ~np.isfinite(trans).all(axis=1),
+        ~np.isfinite(ts),
+        np.isin(np.arange(len(ts)),
+                np.searchsorted(offsets, np.flatnonzero(bad_depth), side="right") - 1),
+    ])
+    bad = defects.any(axis=0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError((
+            "rotation must be finite", "rotation matrix is not orthonormal",
+            "rotation matrix must have det +1", "translation must be finite",
+            f"keyframe timestamp must be finite, got {float(ts[row])}",
+            "keyframe depths must be finite and positive",
+        )[int(np.argmax(defects[:, row]))])
 
 
 @dataclass
@@ -217,8 +313,8 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     with _staged("two_view"):
         report = solve_two_view(candidate.matches, max_iters)
     candidate.pose = report.pose
-    kf_a = traj_a.keyframes[candidate.frame_a]
-    kf_b = traj_b.keyframes[candidate.frame_b]
+    kf_a = traj_a.keyframe(candidate.frame_a)
+    kf_b = traj_b.keyframe(candidate.frame_b)
     with _staged("triangulate"):
         tri = triangulated_depths(candidate)
         vo_a = kf_a.depths[candidate.anchor_ids0][tri.valid0]
@@ -242,20 +338,40 @@ def timestamp_key(ts: float) -> float:
     return round(float(ts), TIMESTAMP_DECIMALS)
 
 
+def check_disjoint(traj_a: Trajectory, traj_b: Trajectory) -> None:
+    """Raise :class:`TimestampCollisionError` if the two trajectories share a
+    timestamp at ``TIMESTAMP_DECIMALS`` decimals, so that their merge could
+    not be written."""
+    common = set(traj_a.timestamp_keys).intersection(traj_b.timestamp_keys)
+    if common:
+        raise TimestampCollisionError(
+            f"{len(common)} timestamps appear in both trajectories "
+            f"at {TIMESTAMP_DECIMALS} decimals")
+
+
 def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
                        sim3: Sim3Transform) -> Trajectory:
     """Map trajectory b through a world-level Sim(3) and interleave by time.
 
     Depths of b scale by ``sim3.scale`` since camera coordinates rescale
-    alongside the world.
+    alongside the world. Each mapped pose takes the arithmetic of
+    :meth:`Sim3Transform.transform_pose`, and the result is checked as any
+    trajectory is.
     """
-    common = ({timestamp_key(t) for t in traj_a.timestamps()}
-              & {timestamp_key(t) for t in traj_b.timestamps()})
-    if common:
-        raise TimestampCollisionError(
-            f"{len(common)} timestamps appear in both trajectories "
-            f"at {TIMESTAMP_DECIMALS} decimals")
-    mapped = [replace(k, pose=sim3.transform_pose(k.pose), depths=sim3.scale * k.depths)
-              for k in traj_b.keyframes]
-    merged = sorted(list(traj_a.keyframes) + mapped, key=lambda k: k.timestamp)
-    return Trajectory(tuple(merged))
+    check_disjoint(traj_a, traj_b)
+    rot = np.concatenate([traj_a.rotations, sim3.rotation @ traj_b.rotations])
+    # A stack of matrix-vector products rounds each row as transform_pose does.
+    trans = np.concatenate([
+        traj_a.translations,
+        sim3.scale * (sim3.rotation @ traj_b.translations[:, :, None])[:, :, 0]
+        + sim3.translation])
+    stamps = np.concatenate([traj_a.timestamps, traj_b.timestamps])
+    order = np.argsort(stamps, kind="stable")
+    depths = np.concatenate([traj_a.depths, sim3.scale * traj_b.depths])
+    starts = np.concatenate([traj_a.depth_offsets[:-1],
+                             traj_b.depth_offsets[:-1] + len(traj_a.depths)])[order]
+    counts = np.concatenate([np.diff(traj_a.depth_offsets), np.diff(traj_b.depth_offsets)])[order]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # Merged keyframe k copies its depths from starts[k] on, in order.
+    take = np.arange(len(depths)) + np.repeat(starts - offsets[:-1], counts)
+    return Trajectory.from_columns(stamps[order], rot[order], trans[order], depths[take], offsets)

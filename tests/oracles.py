@@ -7,11 +7,13 @@ arithmetic so that results must be equal, not merely close.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sedslam.ba import _observations, _project, _state
-from sedslam.errors import BehindCameraError, SedSlamError, TrajectoryFileError
+from sedslam.errors import (BehindCameraError, SedSlamError, TimestampCollisionError,
+                            TrajectoryFileError)
 from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, project, rotation_angle,
                           skew, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
@@ -249,6 +251,33 @@ def rotation_from_quat_scalar(q):
     ])
 
 
+def quat_from_rotation_scalar(rot):
+    """Unit quaternion (qx, qy, qz, qw), qw >= 0, of one rotation matrix, by
+    branches on the trace and the diagonal."""
+    r = np.asarray(rot, dtype=float)
+    tr = np.trace(r)
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array([(r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
+                      (r[1, 0] - r[0, 1]) / s, 0.25 * s])
+    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array([0.25 * s, (r[0, 1] + r[1, 0]) / s,
+                      (r[0, 2] + r[2, 0]) / s, (r[2, 1] - r[1, 2]) / s])
+    elif r[1, 1] > r[2, 2]:
+        s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        q = np.array([(r[0, 1] + r[1, 0]) / s, 0.25 * s,
+                      (r[1, 2] + r[2, 1]) / s, (r[0, 2] - r[2, 0]) / s])
+    else:
+        s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        q = np.array([(r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s,
+                      0.25 * s, (r[1, 0] - r[0, 1]) / s])
+    q = q / np.linalg.norm(q)
+    if q[3] < 0.0:
+        q = -q
+    return q
+
+
 def rotation_rejection(rot, tol=1e-9):
     """Why the numpy form of the rotation check rejects ``rot``, or None."""
     rot = np.array(rot, dtype=float)
@@ -335,3 +364,18 @@ def read_trajectory_lines(path, depth_path=None):
         raise TrajectoryFileError(
             f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
     return Trajectory(tuple(keyframes))
+
+
+def merge_keyframes(traj_a, traj_b, sim3):
+    """Trajectory b mapped through ``sim3`` and merged with a, one keyframe
+    at a time: each mapped pose and keyframe is built and checked on its own."""
+    common = ({timestamp_key(t) for t in traj_a.timestamps}
+              & {timestamp_key(t) for t in traj_b.timestamps})
+    if common:
+        raise TimestampCollisionError(
+            f"{len(common)} timestamps appear in both trajectories "
+            f"at {TIMESTAMP_DECIMALS} decimals")
+    mapped = [replace(k, pose=sim3.transform_pose(k.pose), depths=sim3.scale * k.depths)
+              for k in traj_b.keyframes]
+    merged = sorted(list(traj_a.keyframes) + mapped, key=lambda k: k.timestamp)
+    return Trajectory(tuple(merged))

@@ -181,7 +181,7 @@ def test_criterion_6_sim3_join_round_trip():
             Keyframe(k.timestamp, p, k.depths * gt.scale)
             for k, p in zip(pair.traj_b.keyframes, pair.poses_b_metric)]
         reference = Trajectory(tuple(sorted(gt_kfs, key=lambda k: k.timestamp)))
-        pos = reference.positions()
+        pos = reference.translations
         diam = max(np.linalg.norm(pos[i] - pos[j])
                    for i in range(len(pos)) for j in range(len(pos)))
         ate_ok += ate_rmse(merged, reference, mode="sim3", max_dt=1e-6) < 0.01 * diam

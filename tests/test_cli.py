@@ -225,6 +225,28 @@ class TestJoinCommand:
         err = capsys.readouterr().err
         assert ("ratio bound" if flag == "--lambda" else "inlier threshold") in err
 
+    def test_timestamp_collision_exits_2_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        tp = tmp_path / "tp"
+        assert main(["synth", "traj-pair", "--seed", "1", "--out-dir", str(tp)]) == 0
+        gt = json.loads((tp / "gt.json").read_text())
+        # Trajectory B retimed onto trajectory A's stamps: 200.x becomes 100.x.
+        for name in ("trajB.txt", "trajB.depths"):
+            (tp / name).write_text((tp / name).read_text().replace("\n200.", "\n100."))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the join was solved")
+
+        monkeypatch.setattr("sedslam.cli.estimate_join", no_solve)
+        merged, sim3_out = tmp_path / "merged.txt", tmp_path / "s.json"
+        code = main(["join", str(tp / "trajA.txt"), str(tp / "trajB.txt"), str(tp / "matches.txt"),
+                     "--depths-a", str(tp / "trajA.depths"), "--depths-b", str(tp / "trajB.depths"),
+                     "--frame-a", str(gt["frame_a"]), "--frame-b", str(gt["frame_b"]),
+                     "--out", str(merged), "--sim3-out", str(sim3_out)])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "error: 8 timestamps appear in both trajectories at 6 decimals\n")
+        assert not merged.exists() and not sim3_out.exists()
+
     def test_non_covisible_pair_exits_3(self, tmp_path, capsys):
         pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=6, shuffle_matches=True)
         code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],

@@ -579,14 +579,33 @@ def test_write_read_and_merge_round_trip(ticks_a, ticks_b, offset, keyframes, sc
     with tempfile.TemporaryDirectory() as directory:
         _round_trip(traj_a, directory)
         _round_trip(traj_b, directory)
-        written_a = {f"{t:.6f}" for t in traj_a.timestamps()}
-        written_b = {f"{t:.6f}" for t in traj_b.timestamps()}
+        written_a = {f"{t:.6f}" for t in traj_a.timestamps}
+        written_b = {f"{t:.6f}" for t in traj_b.timestamps}
         if written_a & written_b:
             with pytest.raises(TimestampCollisionError):
                 merge_trajectories(traj_a, traj_b, sim3)
         else:
             merged = merge_trajectories(traj_a, traj_b, sim3)
             assert len(_round_trip(merged, directory)) == len(traj_a) + len(traj_b)
+
+
+@settings(max_examples=100)
+@given(ticks=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+       offset=st.floats(-1e3, 1e3),
+       keyframes=st.lists(_KEYFRAME, min_size=8, max_size=8))
+def test_read_write_round_trips_columns(ticks, offset, keyframes):
+    traj = _trajectory(ticks, offset, keyframes)
+    with tempfile.TemporaryDirectory() as directory:
+        tp, dp = os.path.join(directory, "t.txt"), os.path.join(directory, "t.depths")
+        write_trajectory(tp, traj)
+        write_depth_sidecar(dp, traj)
+        back = read_trajectory(tp, dp)
+    assert [f"{t:.6f}" for t in back.timestamps] == [f"{t:.6f}" for t in traj.timestamps]
+    assert np.all(np.abs(back.timestamps - traj.timestamps) <= 5e-7 + 1e-15 * abs(offset))
+    assert np.max(np.abs(back.rotations - traj.rotations)) < 1e-8
+    assert np.max(np.abs(back.translations - traj.translations)) <= 5e-10 + 1e-13
+    assert np.array_equal(back.depth_offsets, traj.depth_offsets)
+    assert np.all(np.abs(back.depths - traj.depths) <= 5e-10 + 1e-15 * traj.depths)
 
 
 # Values k / 10**9 print at 9 decimals as k * 1e-9 and parse back to the

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (DegenerateLineError, ParallelRaysError, backproject, epipolar_line,
                      essential_from_pose, fundamental_from_essential, is_degenerate_line,
-                     point_line_error, rotation_from_quat_scalar, rotation_rejection, triangulate)
+                     point_line_error, quat_from_rotation_scalar, rotation_from_quat_scalar,
+                     rotation_rejection, triangulate)
 
 from sedslam.errors import BehindCameraError
 from sedslam.geom import (
@@ -270,6 +271,29 @@ class TestPoseTypes:
         for idx in np.ndindex(2, 5):
             assert np.array_equal(rot[idx], rotation_from_quat_scalar(q[idx]))
             assert np.array_equal(rotation_from_quat(q[idx]), rot[idx])
+
+
+def test_batched_rotation_quaternions_equal_scalar_branches():
+    # Half uniform angles, half within 1e-12..1e-1 of pi, where the trace is
+    # about -1 and the largest diagonal entry picks the branch.
+    rng = np.random.default_rng(12)
+    n = 100_000
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([rng.uniform(0.0, np.pi, n // 2),
+                             np.pi - 10.0 ** rng.uniform(-12.0, -1.0, n - n // 2)])
+    rot = rotation_from_quat(np.concatenate(
+        [axes * np.sin(angles / 2)[:, None], np.cos(angles / 2)[:, None]], axis=1))
+    q = quat_from_rotation(rot)
+    assert q.shape == (n, 4)
+    diag = np.diagonal(rot, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
+    branches = np.where(trace > 0.0, 3, np.argmax(diag, axis=1))
+    assert np.bincount(branches, minlength=4).min() > 10_000
+    for r, qb in zip(rot, q):
+        assert np.array_equal(qb, quat_from_rotation_scalar(r))
+    assert np.array_equal(quat_from_rotation(rot[:7].reshape(7, 1, 3, 3)), q[:7, None])
+    assert np.array_equal(quat_from_rotation(rot[0]), q[0])
 
 
 # Rotations perturbed entrywise by up to 0.5e-9 or 2e-9, about the

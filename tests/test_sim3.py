@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_scale
+from oracles import brute_force_scale, merge_keyframes
 
 from sedslam.errors import (
     InsufficientInliersError,
@@ -59,7 +60,7 @@ def gt_merged_trajectory(pair):
 
 
 def scene_diameter(traj):
-    pos = traj.positions()
+    pos = traj.translations
     return max(np.linalg.norm(pos[i] - pos[j])
                for i in range(len(pos)) for j in range(len(pos)))
 
@@ -391,10 +392,10 @@ class TestMerge:
         b = self._simple_trajectory(10.0, seed=2)
         merged = merge_trajectories(a, b, Sim3Transform.identity())
         assert len(merged) == len(a) + len(b)
-        ts = merged.timestamps()
+        ts = merged.timestamps
         assert np.all(np.diff(ts) > 0.0)
-        assert np.allclose(merged.positions()[: len(a)], a.positions())
-        assert np.allclose(merged.positions()[len(a):], b.positions())
+        assert np.allclose(merged.translations[: len(a)], a.translations)
+        assert np.allclose(merged.translations[len(a):], b.translations)
 
     def test_split_and_rejoin_round_trip(self):
         full = self._simple_trajectory(0.0, n=10, seed=3)
@@ -511,3 +512,149 @@ class TestJoinPipeline:
             assert np.max(np.abs(kf_a.pose.rotation - kf_b.pose.rotation)) < 1e-9
             assert np.linalg.norm(kf_a.pose.translation - kf_b.pose.translation) < 1e-9
             assert np.max(np.abs(kf_a.depths - kf_b.depths)) < 1e-9
+
+
+# Trajectory columns. A row is a timestamp step, a rotation vector, a
+# translation and the keyframe's depths.
+_ROW = st.tuples(st.floats(0.01, 10.0), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                 st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+                 st.lists(st.floats(1e-3, 1e3), max_size=4))
+_COLUMNS = ("timestamps", "rotations", "translations", "depths", "depth_offsets")
+
+
+@st.composite
+def _rows(draw, min_size=0):
+    """(timestamps, rotations, translations, per-keyframe depth lists)."""
+    rows = draw(st.lists(_ROW, min_size=min_size, max_size=6))
+    ts = draw(st.floats(-1e3, 1e3)) + np.cumsum([r[0] for r in rows])
+    return (ts.tolist(), np.reshape([so3_exp(r[1]) for r in rows], (-1, 3, 3)),
+            np.reshape([r[2] for r in rows], (-1, 3)), [list(r[3]) for r in rows])
+
+
+def _from_columns(ts, rot, trans, depths):
+    return Trajectory.from_columns(ts, rot, trans, [d for ds in depths for d in ds],
+                                   np.cumsum([0] + [len(ds) for ds in depths]))
+
+
+def _from_keyframes(ts, rot, trans, depths):
+    return Trajectory(tuple(Keyframe(t, Se3Pose(r, p), d)
+                            for t, r, p, d in zip(ts, rot, trans, depths)))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc), str(exc)
+
+
+def _assert_same(a, b):
+    for name in _COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert len(a) == len(b) == len(a.keyframes) == len(b.keyframes)
+    for i, (ka, kb) in enumerate(zip(a.keyframes, b.keyframes)):
+        for k in (ka, kb, a.keyframe(i), b.keyframe(i)):
+            assert type(k.timestamp) is float and k.timestamp == a.timestamps[i]
+            assert np.array_equal(k.pose.rotation, a.rotations[i])
+            assert np.array_equal(k.pose.translation, a.translations[i])
+            assert np.array_equal(k.depths, a.depths[a.depth_offsets[i]:a.depth_offsets[i + 1]])
+
+
+@settings(max_examples=100)
+@given(rows=_rows())
+def test_columns_and_keyframes_build_equal_trajectories(rows):
+    traj = _from_columns(*rows)
+    _assert_same(traj, _from_keyframes(*rows))
+    _assert_same(traj, Trajectory(traj.keyframes))
+    assert [k.depths.tolist() for k in traj.keyframes] == rows[3]
+
+
+@settings(max_examples=300)
+@given(rows=_rows(min_size=1), data=st.data())
+def test_bad_columns_raise_what_bad_keyframes_raise(rows, data):
+    ts, rot, trans, depths = rows
+    rot, trans = rot.copy(), trans.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(ts) - 1))
+        kind = data.draw(st.sampled_from(["stamp", "order", "rotation", "translation", "depth"]))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if kind == "stamp":
+            ts[k] = bad
+        elif kind == "order":
+            ts[k] = ts[k - 1] - data.draw(st.sampled_from([0.0, 1.0]))
+        elif kind == "translation":
+            trans[k, data.draw(st.integers(0, 2))] = bad
+        elif kind == "depth":
+            depths[k] = depths[k] + [data.draw(st.sampled_from([0.0, -1.0, bad]))]
+        else:
+            how = data.draw(st.sampled_from(["entry", "noise", "flip", "huge"]))
+            if how == "entry":
+                rot[k, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))] = bad
+            elif how == "noise":
+                rot[k] += data.draw(st.sampled_from([1e-10, 2e-9, 1e-3])) * np.array(
+                    data.draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+            elif how == "flip":
+                rot[k, 0] = -rot[k, 0]
+            else:
+                rot[k] *= 1e200
+    got = _outcome(lambda: _from_columns(ts, rot, trans, depths))
+    expected = _outcome(lambda: _from_keyframes(ts, rot, trans, depths))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        _assert_same(got, expected)
+
+
+@settings(max_examples=200)
+@given(rows_a=_rows(min_size=1), rows_b=_rows(min_size=1),
+       shift=st.sampled_from([0.0, 0.005, 4e-7, 6e-7, 1e3]),
+       scale=st.sampled_from([1e-320, 1e-3, 0.7, 1.0, 3.0, 1e306]),
+       w=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       t=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_merge_equals_keyframe_by_keyframe_merge(rows_a, rows_b, shift, scale, w, t):
+    ts_b = [v + shift for v in rows_a[0][:1] + rows_b[0][1:]]
+    traj_a = _from_columns(*rows_a)
+    traj_b = _from_columns(sorted(set(ts_b)), *(c[:len(set(ts_b))] for c in rows_b[1:]))
+    sim3 = Sim3Transform(scale, so3_exp(w), t)
+    with np.errstate(over="ignore"):
+        got = _outcome(lambda: merge_trajectories(traj_a, traj_b, sim3))
+        expected = _outcome(lambda: merge_keyframes(traj_a, traj_b, sim3))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        _assert_same(got, expected)
+
+
+def test_columns_and_keyframe_views_are_read_only():
+    rows = ([0.0, 1.0], np.stack([np.eye(3), so3_exp([0.1, 0.2, 0.3])]),
+            np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), [[1.0, 2.0], [3.0]])
+    traj = _from_columns(*rows)
+    for name in _COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, name, getattr(traj, name).copy())
+    for kf in traj.keyframes + (traj.keyframe(-1),):
+        for array in (kf.depths, kf.pose.rotation, kf.pose.translation):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kf.timestamp = 2.0
+    # The columns are copies: changing what they were built from changes nothing.
+    rows[1][0, 0, 0] = 5.0
+    rows[2][0, 0] = 5.0
+    assert traj.rotations[0, 0, 0] == 1.0 and traj.translations[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0.0, 1.0], np.eye(3)[None], np.zeros((2, 3)), [], [0, 0, 0]),
+     "rotations of shape \\(2, 3, 3\\)"),
+    (([0.0], np.eye(3)[None], np.zeros((1, 2)), [], [0, 0]), "translations of shape \\(1, 3\\)"),
+    (([0.0], np.eye(3)[None], np.zeros((1, 3)), [1.0], [0, 2]), "rising from 0 to the 1 depths"),
+    (([0.0], np.eye(3)[None], np.zeros((1, 3)), [1.0], [0.0, 1.0]), "2 integers"),
+    (([0.0, 1.0], np.stack([np.eye(3)] * 2), np.zeros((2, 3)), [1.0], [0, 1, 0]), "rising"),
+])
+def test_inconsistent_columns_raise(columns, message):
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_columns(*columns)
