@@ -9,6 +9,7 @@ inliers. All randomness derives from the --seed flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -266,9 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, rebuilt only when a command function of this module is replaced.
+_parser = functools.lru_cache(maxsize=1)(lambda *commands: build_parser())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(cmd_two_view, cmd_basin, cmd_join, cmd_ate, cmd_synth_two_view,
+                   cmd_synth_traj_pair).parse_args(argv)
     try:
         return args.func(args)
     except InsufficientInliersError as exc:

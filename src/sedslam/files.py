@@ -16,14 +16,21 @@ Every sidecar timestamp must match a pose, and timestamps are written and
 compared at ``sim3.TIMESTAMP_DECIMALS`` decimals. Trajectories are read into
 and written from the columns of :class:`~sedslam.sim3.Trajectory`, with no
 object per pose.
+
+numpy's C text reader parses trajectory and sidecar rows after the leading
+blank and comment lines, checked then as arrays. A file it refuses (a comment
+mid-file, ``1_0``, an id beyond int64) or that fails a check is read again in
+blocks of ``_BLOCK_LINES`` lines, which decide every error: the first
+defective line's. Readers hold the parsed rows and a few per-row arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, dropwhile, islice, repeat
 
 import numpy as np
 
@@ -253,13 +260,37 @@ def _order_rows(group, ids, numbers, odd: dict) -> np.ndarray:
     return order
 
 
-def read_depth_sidecar(path) -> dict:
-    """Depth arrays by timestamp key, in order of first appearance.
+def _c_rows(path, dtype, ndmin):
+    """The rows of ``path`` by numpy's C text reader, or None if it refuses
+    them or warns (on no rows; numpy 1.23-1.25 on an int written "2.0")."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(dropwhile(lambda s: s.strip()[:1] in ("", "#"), fh), dtype,
+                              comments=None, ndmin=ndmin)
+        except (ValueError, Warning):
+            return None
 
-    Reads the file in blocks and checks each block as a whole. When a check
-    fails, the error is that of the first defective line in file order.
-    """
-    groups: dict[float, int] = {}
+
+def read_depth_sidecar(path) -> dict:
+    """Depth arrays by timestamp key, in order of first appearance; the C
+    reader's rows if they pass the checks, else the block reader's."""
+    rows = _c_rows(path, [("t", float), ("i", np.int64), ("d", float)], 1)
+    if rows is not None:
+        t, ids, d = rows["t"], rows["i"], rows["d"]
+        starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
+        groups = {}  # equal stamps share a key: one key per run of them
+        group = np.repeat([groups.setdefault(timestamp_key(s), len(groups))
+                           for s in t[starts].tolist()], np.diff(starts, append=len(t)))
+        counts = np.bincount(group)
+        first = np.cumsum(counts) - counts
+        expected = np.arange(len(t)) - np.repeat(first, counts)
+        in_order = np.all(group[1:] >= group[:-1]) and np.array_equal(ids, expected)
+        order = np.arange(len(t)) if in_order else np.lexsort((ids, group))
+        if (np.all((d > 0.0) & (d < math.inf)) and np.isfinite(t).all()
+                and (in_order or np.array_equal(ids[order], expected))):
+            return dict(zip(groups, np.split(d[order], first[1:])))
+    groups: dict[float, int] = {}  # the block reader, which decides every refusal
     odd: dict[int, int] = {}
     convert = partial(_sidecar_columns, groups=groups, odd=odd)
     blocks, numbers = [], []
@@ -291,6 +322,16 @@ def read_depth_sidecar(path) -> dict:
     return dict(zip(groups, np.split(depths[order], first[1:])))
 
 
+def _pose_defect(values):
+    """The defect of the first bad row of (n, 8) trajectory values, or None."""
+    if not np.isfinite(values).all():
+        return "non-finite value"
+    qx, qy, qz, qw = values[:, 4:].T
+    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    off = np.abs(norm - 1.0) > 1e-6
+    return f"quaternion norm {norm[off][0]} is not 1" if off.any() else None
+
+
 def _pose_values(lines) -> np.ndarray:
     """(n, 8) values of trajectory lines. Raises ``ValueError`` if any line
     has a defect of its own, with the message of the first for a single line."""
@@ -298,34 +339,28 @@ def _pose_values(lines) -> np.ndarray:
     if tokens is None:
         raise ValueError(f"expected 8 fields, got {len(lines[0].split())}")
     values = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 8)
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    qx, qy, qz, qw = values[:, 4:].T
-    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    off = np.abs(norm - 1.0) > 1e-6
-    if off.any():
-        raise ValueError(f"quaternion norm {norm[off][0]} is not 1")
+    if defect := _pose_defect(values):
+        raise ValueError(defect)
     return values
 
 
 def read_trajectory(path, depth_path=None) -> Trajectory:
-    """TUM trajectory with the depths of its optional sidecar.
-
-    Reads the file in blocks and checks each block as a whole. When a check
-    fails, the error is that of the first defective line in file order.
-    """
+    """TUM trajectory with the depths of its optional sidecar; the C
+    reader's rows if they pass the checks, else the block reader's."""
     depths = read_depth_sidecar(depth_path) if depth_path else {}
-    blocks = []
-    with open(path) as fh:
-        for numbers, lines in _blocks(fh):
-            try:
-                blocks.append(_pose_values(lines))
-            except ValueError:
-                k, exc = _first_defect(_pose_values, lines)
-                raise TrajectoryFileError(f"line {numbers[k]}: {exc}") from exc
-    if not blocks:
-        raise TrajectoryFileError("trajectory file holds no poses")
-    values = np.concatenate(blocks)
+    values = _c_rows(path, float, 2)
+    if values is None or values.shape[1] != 8 or _pose_defect(values):
+        blocks = []
+        with open(path) as fh:
+            for numbers, lines in _blocks(fh):
+                try:
+                    blocks.append(_pose_values(lines))
+                except ValueError:
+                    k, exc = _first_defect(_pose_values, lines)
+                    raise TrajectoryFileError(f"line {numbers[k]}: {exc}") from exc
+        if not blocks:
+            raise TrajectoryFileError("trajectory file holds no poses")
+        values = np.concatenate(blocks)
     keys = [timestamp_key(t) for t in values[:, 0].tolist()]
     posed = set(keys)
     orphans = [k for k in depths if k not in posed]
@@ -338,9 +373,11 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
             f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
     no_depths = np.zeros(0)
     per_pose = [depths.get(k, no_depths) for k in keys]
-    return Trajectory.from_columns(values[:, 0], rotation_from_quat(values[:, 4:]), values[:, 1:4],
-                                   np.concatenate([no_depths] + per_pose),
+    traj = Trajectory.from_columns(values[:, 0], rotation_from_quat(values[:, 4:]),
+                                   values[:, 1:4], np.concatenate([no_depths] + per_pose),
                                    np.cumsum([0] + list(map(len, per_pose))))
+    traj.__dict__["timestamp_keys"] = keys  # seed the cached property
+    return traj
 
 
 def sim3_to_dict(sim3) -> dict:

@@ -374,4 +374,7 @@ def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
     offsets = np.concatenate([[0], np.cumsum(counts)])
     # Merged keyframe k copies its depths from starts[k] on, in order.
     take = np.arange(len(depths)) + np.repeat(starts - offsets[:-1], counts)
-    return Trajectory.from_columns(stamps[order], rot[order], trans[order], depths[take], offsets)
+    merged = Trajectory.from_columns(stamps[order], rot[order], trans[order], depths[take], offsets)
+    keys = traj_a.timestamp_keys + traj_b.timestamp_keys  # seed the cached property
+    merged.__dict__["timestamp_keys"] = list(map(keys.__getitem__, order.tolist()))
+    return merged

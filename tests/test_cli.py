@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sedslam.cli import main
+from sedslam.cli import build_parser, main
 from sedslam.files import read_match_file, write_depth_sidecar, write_match_file, write_trajectory
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_from_quat, so3_exp
 from sedslam.metrics import pose_error
@@ -409,3 +409,53 @@ class TestSynthCommand:
         assert code == 0
         payload = json.loads((tmp_path / "s.json").read_text())
         assert abs(payload["scale"] / gt_payload["sim3_world"]["scale"] - 1.0) < 0.05
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's
+    arguments."""
+
+    def _join_then_ate(self, paths, out, capsys, extra=()):
+        merged, sim3_out = out / "merged.txt", out / "s.json"
+        codes = (main(["join", paths["trajA"], paths["trajB"], paths["matches"],
+                       "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
+                       "--out", str(merged), "--sim3-out", str(sim3_out), *extra]),
+                 main(["ate", str(merged), paths["trajA"]]))
+        assert codes == (0, 0)
+        return capsys.readouterr().out, merged.read_bytes(), sim3_out.read_bytes()
+
+    def test_bad_argv_does_not_affect_the_next_call(self, tmp_path, capsys):
+        _, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        frames = ["--frame-a", str(fa), "--frame-b", str(fb)]
+        first = self._join_then_ate(paths, tmp_path, capsys, frames)
+        # Values parsed before the error must not stick as defaults.
+        for bad in (["join", paths["trajA"], paths["trajB"], paths["matches"], "--lambda", "1.5",
+                     "--max-iters", "1", "--frame-a", "oops"],
+                    ["ate", "est.txt", "gt.txt", "--mode", "other"],
+                    ["synth"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert self._join_then_ate(paths, tmp_path, capsys, frames) == first
+
+    def test_join_then_ate_twice_print_identical_stdout(self, tmp_path, capsys):
+        _, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        frames = ["--frame-a", str(fa), "--frame-b", str(fb)]
+        first = self._join_then_ate(paths, tmp_path, capsys, frames)
+        assert first[0].strip()
+        assert self._join_then_ate(paths, tmp_path, capsys, frames) == first
+
+    def test_a_command_replaced_on_the_module_is_the_one_that_runs(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        assert main(["synth", "two-view", "--out", str(tmp_path / "m.txt")]) == 0
+        calls = []
+        monkeypatch.setattr("sedslam.cli.cmd_ate", lambda args: calls.append(args.est) or 0)
+        assert main(["ate", "e.txt", "g.txt"]) == 0
+        assert calls == ["e.txt"]
+        monkeypatch.undo()
+        assert main(["ate", "e.txt", "g.txt"]) == 1
+        assert "e.txt" in capsys.readouterr().err
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

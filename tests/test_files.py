@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -416,15 +417,76 @@ def test_sidecar_memory_is_bounded_by_a_block(tmp_path):
     assert peak < 12e6
 
 
+# 25,000 sidecar rows as the writer leaves them, 8 anchors per timestamp:
+# the C reader takes such a file whole, and only a refusal or a failed
+# check sends it to the block reader.
+_LONG_ROWS = [f"{i // 8}.5 {i % 8} {1 + i % 7}.25" for i in range(25_000)]
+
+
+def test_long_sidecar_with_a_mid_file_comment_reads_as_the_oracle(tmp_path):
+    path = tmp_path / "d.txt"
+    lines = list(_LONG_ROWS)
+    lines.insert(12_345, "# a comment the C reader refuses")
+    path.write_text("# timestamp anchor_id depth\n" + "\n".join(lines) + "\n")
+    got, expected = read_depth_sidecar(path), read_depth_sidecar_lines(path)
+    assert list(got) == list(expected) and len(got) == 3125
+    assert all(np.array_equal(got[k], expected[k]) for k in expected)
+
+
+@pytest.mark.parametrize("kind", sorted(_DEFECTS) + ["id", "gap"])
+def test_defect_at_row_20000_of_a_long_sidecar(tmp_path, kind):
+    lines = list(_LONG_ROWS)
+    if kind == "dup":  # the C reader takes it, the id check fails
+        lines[19_999], message = lines[19_998], "duplicate anchor id 6"
+    elif kind == "id":  # the C reader refuses it
+        lines[19_999], message = "2499.5 7.0 2.0", "invalid literal for int() with base 10: '7.0'"
+    elif kind == "gap":  # the C reader takes it, the id check fails
+        lines[19_999], message = "2499.5 8 2.0", None
+    else:
+        lines[19_999], message = _DEFECTS[kind](20_000)
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_depth_sidecar(path)
+    assert str(exc.value) == (f"line 20000: {message}" if message else
+                              "anchor ids for timestamp 2499.5 must be contiguous from 0")
+    assert _outcome(read_depth_sidecar_lines, path) == (TrajectoryFileError, str(exc.value))
+
+
+# numpy 1.23-1.25 parse "2.0" as the int64 2 with a DeprecationWarning, and
+# warn on input without data rows; the readers take such a warning as a
+# refusal, whatever the warning filters say.
+def test_sidecar_id_written_as_a_float_is_refused(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("# timestamp anchor_id depth\n0.0 0 1.0\n0.0 1 1.5\n0.0 2.0 2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_depth_sidecar(path)
+    assert str(exc.value) == "line 4: invalid literal for int() with base 10: '2.0'"
+
+
+def test_header_only_sidecar_reads_as_empty(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("# timestamp anchor_id depth\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert read_depth_sidecar(path) == {}
+
+
 # Generated sidecar and trajectory text: valid files with a few injected
-# defects, comment, blank and whitespace-only lines, and CRLF line endings.
-# The block readers must raise what the line-by-line readers raise, or
-# return bit-identical keyframes.
+# defects, comment, blank and whitespace-only lines, CRLF line endings and
+# the whitespace that str.split and numpy's C reader both split at. The
+# readers must raise what the line-by-line readers raise, or return
+# bit-identical keyframes. Ids written as floats ("2.0", "1e2") are where
+# int() and the C reader's int64 parse could differ.
 _STAMPS = ["0.5", "1.0000001", "1.0000002", "2.25", "-0.0", "0.0", "1e1", "10.0", "3.5"]
 _DEPTHS = ["1.5", "0.25", "3", "2e-3", "7.000000001", "+4.5"]
+_IDS = ["2.0", "1e2", "-0"]
 _JUNK = ["x", "1.0", "nan", "inf", "-inf", "0", "-1", "1e400", "99999999999999999999",
-         "+2", "1_0", "#", "0x1", "-0.0", "1.0000003"]
+         "+2", "1_0", "#", "0x1", "-0.0", "1.0000003", *_IDS]
 _FILLER = ["#", "# note", "", " \t", "  # indented"]
+_SEPARATORS = [" ", "\t", "  ", "\x0c", "\u2003", "\x85"]
 
 
 @st.composite
@@ -433,10 +495,12 @@ def _text(draw, rows):
     rows = [list(row) for row in rows]
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["junk", "junk", "junk", "drop", "extra", "copy",
-                                     "delete", "swap", "filler", "filler"]))
+                                     "delete", "swap", "filler", "filler", "id"]))
         k = draw(st.integers(0, max(len(rows) - 1, 0)))
         if kind == "filler" or not rows:
             rows.insert(k, [draw(st.sampled_from(_FILLER))])
+        elif kind == "id" and len(rows[k]) > 1:
+            rows[k][1] = draw(st.sampled_from(_IDS))
         elif kind == "junk" and rows[k]:
             rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(_JUNK))
         elif kind in ("junk", "extra"):
@@ -450,7 +514,7 @@ def _text(draw, rows):
         else:
             j = draw(st.integers(0, len(rows) - 1))
             rows[k], rows[j] = rows[j], rows[k]
-    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    sep = draw(st.sampled_from(_SEPARATORS))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
 
