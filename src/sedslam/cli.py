@@ -55,16 +55,20 @@ def cmd_two_view(args) -> int:
     return 0
 
 
+# The most points a basin grid may have; far more would exhaust memory in the list.
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str):
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"grid must be start:stop:step, got {text!r}") from exc
-    # Also rejects non-finite bounds and a span whose point count overflows.
-    if not (0.0 < step < math.inf and stop >= start and (stop - start) / step < math.inf):
+    steps = (stop - start) / step + 0.5  # from start to stop, rounded half up
+    # Also rejects non-finite bounds and grids above _MAX_GRID_POINTS points.
+    if not (0.0 < step < math.inf and stop >= start and steps < _MAX_GRID_POINTS):
         raise ValueError(f"invalid grid {text!r}")
-    n = int(np.floor((stop - start) / step + 0.5)) + 1
-    return [start + i * step for i in range(n)]
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def cmd_basin(args) -> int:

@@ -15,13 +15,16 @@ timestamp and row order pairs them with the match-file rows of that frame.
 Every sidecar timestamp must match a pose, and timestamps are written and
 compared at ``sim3.TIMESTAMP_DECIMALS`` decimals. Trajectories are read into
 and written from the columns of :class:`~sedslam.sim3.Trajectory`, with no
-object per pose.
+keyframe object per pose.
 
 numpy's C text reader parses trajectory and sidecar rows after the leading
-blank and comment lines, checked then as arrays. A file it refuses (a comment
-mid-file, ``1_0``, an id beyond int64) or that fails a check is read again in
-blocks of ``_BLOCK_LINES`` lines, which decide every error: the first
-defective line's. Readers hold the parsed rows and a few per-row arrays.
+blank and comment lines, checked then as arrays; every file the writers
+leave takes this path, holding the parsed rows and a few per-row arrays. A
+file it refuses, or whose rows fail a check, is read again one line at a
+time. That line reader decides every error, the first defective line's, and
+reads what only it accepts (a ``#`` line mid-file, an id written ``1_0``,
+ids beyond int64). It holds one dict entry per sidecar row, or one list of
+values per pose.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from functools import partial
-from itertools import chain, compress, dropwhile, islice, repeat
+from collections import defaultdict
+from itertools import chain, dropwhile, repeat
 
 import numpy as np
 
@@ -38,13 +41,6 @@ from .errors import MatchFileError, TrajectoryFileError
 from .geom import Intrinsics, quat_from_rotation, rotation_from_quat
 from .sim3 import TIMESTAMP_DECIMALS, Trajectory, timestamp_key
 from .twoview import AnchorMatchSet, _as_size
-
-# Lines the trajectory and sidecar readers take from a file at a time.
-_BLOCK_LINES = 1024
-# Stored anchor ids from here up stand for ids that can never be valid
-# (negative ones, and ones beyond int64), so that every stored id fits int64.
-_ODD_ID = 2 ** 62
-
 
 def write_match_file(path, mset: AnchorMatchSet) -> None:
     """Write ``mset`` at 9 decimals. A weight printed outside (0, 1], or any
@@ -73,16 +69,21 @@ def read_match_file(path) -> AnchorMatchSet:
         return _parse_match_lines(fh)
 
 
+def _data_lines(lines):
+    """(line number from 1, fields) of each line that is not blank and does
+    not start with ``#`` once stripped."""
+    for n, line in enumerate(lines, start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield n, fields
+
+
 def _parse_match_lines(lines) -> AnchorMatchSet:
     """The match set of match-file ``lines``; errors name the first bad line, from 1."""
     intr = {}
     sizes = {}
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _data_lines(lines):
         if parts[0] == "intrinsics":
             if len(parts) != 8:
                 raise MatchFileError(f"line {lineno}: intrinsics needs 7 values")
@@ -169,97 +170,6 @@ def write_depth_sidecar(path, traj: Trajectory) -> None:
                           chain.from_iterable(map(repeat, stamps, counts.tolist())), ids, depths))
 
 
-def _blocks(fh):
-    """The data lines of ``fh``, stripped, as (line numbers, lines) blocks.
-
-    At most ``_BLOCK_LINES`` lines are read at a time. Blank lines and lines
-    whose stripped text starts with ``#`` are dropped.
-    """
-    first = 1
-    while lines := list(islice(fh, _BLOCK_LINES)):
-        stripped = list(map(str.strip, lines))
-        keep = [s != "" and s[0] != "#" for s in stripped]
-        numbers = range(first, first + len(lines))
-        first += len(lines)
-        if all(keep):
-            yield numbers, stripped
-        elif any(keep):
-            yield list(compress(numbers, keep)), list(compress(stripped, keep))
-
-
-def _fields(lines, n):
-    """The fields of ``lines``, row after row, or None if their number is
-    not ``n`` per line.
-
-    The block is split at once, with a ``#`` token between lines. If a line
-    has another number of fields, the total is off or some ``#`` lands on a
-    field position; callers convert every field with ``float`` or ``int``,
-    which reject ``#``.
-    """
-    tokens = " # ".join(lines).split()
-    if len(tokens) != (n + 1) * len(lines) - 1:
-        return None
-    del tokens[n::n + 1]
-    return tokens
-
-
-def _first_defect(convert, lines):
-    """Index and error of the first line that ``convert`` rejects on its own."""
-    for k, line in enumerate(lines):
-        try:
-            convert([line])
-        except ValueError as exc:
-            return k, exc
-    raise AssertionError("a block was rejected but none of its lines is")
-
-
-def _sidecar_columns(lines, groups: dict, odd: dict):
-    """(group numbers, anchor ids, depths) of sidecar lines.
-
-    Each timestamp key gets its group number in ``groups``, in order of
-    first appearance; ``float``, ``int`` and ``timestamp_key`` run once per
-    distinct token. An id outside [0, _ODD_ID) is stored as ``_ODD_ID`` plus
-    its index in ``odd``: stored ids are equal exactly when the ids are, and
-    all of these fail the contiguity check. Raises ``ValueError`` if any
-    line has a defect of its own, with the message of the first for a
-    single line.
-    """
-    tokens = _fields(lines, 3)
-    if tokens is None:
-        raise ValueError("expected 3 fields")
-    stamps, ids = tokens[0::3], tokens[1::3]
-    keys = {t: timestamp_key(float(t)) for t in dict.fromkeys(stamps)}
-    id_of = {t: int(t) for t in dict.fromkeys(ids)}
-    depths = np.fromiter(map(float, tokens[2::3]), float, len(lines))
-    if not np.all((depths > 0.0) & (depths < math.inf)):
-        raise ValueError("depth must be finite and positive")
-    if not all(map(math.isfinite, keys.values())):
-        raise ValueError("timestamp must be finite")
-    group_of = {t: groups.setdefault(k, len(groups)) for t, k in keys.items()}
-    for t, i in id_of.items():
-        if not 0 <= i < _ODD_ID:
-            id_of[t] = _ODD_ID + odd.setdefault(i, len(odd))
-    return (np.fromiter(map(group_of.__getitem__, stamps), np.intp, len(lines)),
-            np.fromiter(map(id_of.__getitem__, ids), np.int64, len(lines)), depths)
-
-
-def _order_rows(group, ids, numbers, odd: dict) -> np.ndarray:
-    """Row order by (group, anchor id); raises for the first line whose
-    (timestamp key, anchor id) an earlier line already has. ``numbers``
-    holds the line numbers of each block."""
-    order = np.lexsort((ids, group))  # stable, so repeats stay in file order
-    g, i = group[order], ids[order]
-    repeat = (g[1:] == g[:-1]) & (i[1:] == i[:-1])
-    if repeat.any():
-        row = order[1:][repeat].min()
-        idx = int(ids[row])
-        if idx >= _ODD_ID:
-            idx = list(odd)[idx - _ODD_ID]
-        line = next(islice(chain.from_iterable(numbers), row, None))
-        raise TrajectoryFileError(f"line {line}: duplicate anchor id {idx}")
-    return order
-
-
 def _c_rows(path, dtype, ndmin):
     """The rows of ``path`` by numpy's C text reader, or None if it refuses
     them or warns (on no rows; numpy 1.23-1.25 on an int written "2.0")."""
@@ -272,9 +182,43 @@ def _c_rows(path, dtype, ndmin):
             return None
 
 
+def _read_sidecar_lines(path) -> dict:
+    """``read_depth_sidecar`` one line at a time; the first defective line, else
+    the first timestamp whose ids are not contiguous from 0, decides the error."""
+    per_key, keys = defaultdict(dict), {}  # {anchor id: depth} by key; key by stamp token
+    with open(path) as fh:
+        for n, fields in _data_lines(fh):
+            if len(fields) != 3:
+                raise TrajectoryFileError(f"line {n}: expected 3 fields")
+            try:
+                key = keys.get(fields[0])
+                if key is None:
+                    key = keys[fields[0]] = timestamp_key(float(fields[0]))
+                idx, depth = int(fields[1]), float(fields[2])
+            except ValueError as exc:
+                raise TrajectoryFileError(f"line {n}: {exc}") from exc
+            if not 0.0 < depth < math.inf:
+                raise TrajectoryFileError(f"line {n}: depth must be finite and positive")
+            if not math.isfinite(key):  # a key is finite exactly when its stamp is
+                raise TrajectoryFileError(f"line {n}: timestamp must be finite")
+            entries = per_key[key]
+            if idx in entries:
+                raise TrajectoryFileError(f"line {n}: duplicate anchor id {idx}")
+            entries[idx] = depth
+    out = {}
+    for key in list(per_key):  # each dict is freed once its array is built
+        entries = per_key.pop(key)
+        try:  # ids are distinct, so they are contiguous from 0 if all of 0..n-1 are there
+            out[key] = np.array([entries[i] for i in range(len(entries))])
+        except KeyError:
+            raise TrajectoryFileError(
+                f"anchor ids for timestamp {key} must be contiguous from 0") from None
+    return out
+
+
 def read_depth_sidecar(path) -> dict:
     """Depth arrays by timestamp key, in order of first appearance; the C
-    reader's rows if they pass the checks, else the block reader's."""
+    reader's rows if they pass the checks, else the line reader's."""
     rows = _c_rows(path, [("t", float), ("i", np.int64), ("d", float)], 1)
     if rows is not None:
         t, ids, d = rows["t"], rows["i"], rows["d"]
@@ -290,36 +234,7 @@ def read_depth_sidecar(path) -> dict:
         if (np.all((d > 0.0) & (d < math.inf)) and np.isfinite(t).all()
                 and (in_order or np.array_equal(ids[order], expected))):
             return dict(zip(groups, np.split(d[order], first[1:])))
-    groups: dict[float, int] = {}  # the block reader, which decides every refusal
-    odd: dict[int, int] = {}
-    convert = partial(_sidecar_columns, groups=groups, odd=odd)
-    blocks, numbers = [], []
-    with open(path) as fh:
-        for block_numbers, lines in _blocks(fh):
-            try:
-                blocks.append(convert(lines))
-            except ValueError:
-                k, exc = _first_defect(convert, lines)
-                if k:
-                    blocks.append(convert(lines[:k]))
-                    numbers.append(block_numbers[:k])
-                if blocks:
-                    group, ids, _ = map(np.concatenate, zip(*blocks))
-                    _order_rows(group, ids, numbers, odd)
-                raise TrajectoryFileError(f"line {block_numbers[k]}: {exc}") from exc
-            numbers.append(block_numbers)
-    if not blocks:
-        return {}
-    group, ids, depths = map(np.concatenate, zip(*blocks))
-    del blocks
-    order = _order_rows(group, ids, numbers, odd)
-    counts = np.bincount(group, minlength=len(groups))
-    first = np.cumsum(counts) - counts
-    bad = ids[order] != np.arange(len(order)) - np.repeat(first, counts)
-    if bad.any():
-        key = list(groups)[group[order[np.argmax(bad)]]]
-        raise TrajectoryFileError(f"anchor ids for timestamp {key} must be contiguous from 0")
-    return dict(zip(groups, np.split(depths[order], first[1:])))
+    return _read_sidecar_lines(path)
 
 
 def _pose_defect(values):
@@ -332,35 +247,26 @@ def _pose_defect(values):
     return f"quaternion norm {norm[off][0]} is not 1" if off.any() else None
 
 
-def _pose_values(lines) -> np.ndarray:
-    """(n, 8) values of trajectory lines. Raises ``ValueError`` if any line
-    has a defect of its own, with the message of the first for a single line."""
-    tokens = _fields(lines, 8)
-    if tokens is None:
-        raise ValueError(f"expected 8 fields, got {len(lines[0].split())}")
-    values = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 8)
-    if defect := _pose_defect(values):
-        raise ValueError(defect)
-    return values
-
-
 def read_trajectory(path, depth_path=None) -> Trajectory:
     """TUM trajectory with the depths of its optional sidecar; the C
-    reader's rows if they pass the checks, else the block reader's."""
+    reader's rows if they pass the checks, else the line reader's."""
     depths = read_depth_sidecar(depth_path) if depth_path else {}
     values = _c_rows(path, float, 2)
     if values is None or values.shape[1] != 8 or _pose_defect(values):
-        blocks = []
+        rows = []  # the line reader, which decides every refusal
         with open(path) as fh:
-            for numbers, lines in _blocks(fh):
+            for n, fields in _data_lines(fh):
+                if len(fields) != 8:
+                    raise TrajectoryFileError(f"line {n}: expected 8 fields, got {len(fields)}")
                 try:
-                    blocks.append(_pose_values(lines))
-                except ValueError:
-                    k, exc = _first_defect(_pose_values, lines)
-                    raise TrajectoryFileError(f"line {numbers[k]}: {exc}") from exc
-        if not blocks:
+                    rows.append([float(f) for f in fields])
+                except ValueError as exc:
+                    raise TrajectoryFileError(f"line {n}: {exc}") from exc
+                if defect := _pose_defect(np.array(rows[-1:])):
+                    raise TrajectoryFileError(f"line {n}: {defect}")
+        if not rows:
             raise TrajectoryFileError("trajectory file holds no poses")
-        values = np.concatenate(blocks)
+        values = np.array(rows)
     keys = [timestamp_key(t) for t in values[:, 0].tolist()]
     posed = set(keys)
     orphans = [k for k in depths if k not in posed]

@@ -126,7 +126,7 @@ class TestBasinCommand:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("grid", ["0:inf:10", "-inf:90:10", "0:90:inf", "nan:90:10",
-                                      "0:nan:10", "0:90:nan", "-1e308:1e308:1"])
+                                      "0:nan:10", "0:90:nan", "-1e308:1e308:1", "0:90:1e-12"])
     def test_non_finite_grid_exits_1(self, tmp_path, capsys, grid):
         assert main(["basin", "--mode", "sed_only", f"--grid={grid}",
                      "--out", str(tmp_path / "b.csv")]) == 1

@@ -372,8 +372,8 @@ class TestDepthSidecar:
 
 
 # Two defects in one file: the one on the earlier line is reported. Rows
-# hold 8 anchors per timestamp; the 1,024-line block boundary lies between
-# or beside some of the pairs of lines.
+# hold 8 anchors per timestamp; the two defects lie on adjacent lines or
+# hundreds of lines apart.
 _ROWS = [f"{i // 8}.5 {i % 8} 2.0" for i in range(2000)]
 _DEFECTS = {
     "dup": lambda n: (_ROWS[n - 2], f"duplicate anchor id {(n - 2) % 8}"),
@@ -400,12 +400,18 @@ def test_sidecar_reports_the_earlier_of_two_defects(tmp_path, first, second, kin
     assert str(exc.value) == f"line {first}: {messages[0]}"
 
 
-def test_sidecar_memory_is_bounded_by_a_block(tmp_path):
+# With a "#" line at row 50,000 the C reader refuses the file and the line
+# reader reads it.
+@pytest.mark.parametrize("comment_at", [None, 50_000])
+def test_sidecar_memory_is_bounded_by_a_block(tmp_path, comment_at):
     path = tmp_path / "big.depths"
+    lines = [f"{100 + 0.1 * (i // 96):.6f} {i % 96} {1.0 + 0.01 * (i % 977):.9f}\n"
+             for i in range(100_000)]
+    if comment_at is not None:
+        lines.insert(comment_at, "# a comment the C reader refuses\n")
     with open(path, "w") as fh:
         fh.write("# timestamp anchor_id depth\n")
-        fh.writelines(f"{100 + 0.1 * (i // 96):.6f} {i % 96} {1.0 + 0.01 * (i % 977):.9f}\n"
-                      for i in range(100_000))
+        fh.writelines(lines)
     tracemalloc.start()
     try:
         depths = read_depth_sidecar(path)
@@ -419,7 +425,7 @@ def test_sidecar_memory_is_bounded_by_a_block(tmp_path):
 
 # 25,000 sidecar rows as the writer leaves them, 8 anchors per timestamp:
 # the C reader takes such a file whole, and only a refusal or a failed
-# check sends it to the block reader.
+# check sends it to the line reader.
 _LONG_ROWS = [f"{i // 8}.5 {i % 8} {1 + i % 7}.25" for i in range(25_000)]
 
 
