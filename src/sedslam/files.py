@@ -18,13 +18,14 @@ and written from the columns of :class:`~sedslam.sim3.Trajectory`, with no
 keyframe object per pose.
 
 numpy's C text reader parses trajectory and sidecar rows after the leading
-blank and comment lines, checked then as arrays; every file the writers
-leave takes this path, holding the parsed rows and a few per-row arrays. A
-file it refuses, or whose rows fail a check, is read again one line at a
-time. That line reader decides every error, the first defective line's, and
-reads what only it accepts (a ``#`` line mid-file, an id written ``1_0``,
-ids beyond int64). It holds one dict entry per sidecar row, or one list of
-values per pose.
+blank and comment lines and keeps what passes array checks: finite poses with
+unit quaternions, and sidecars in the writers' layout (one run of rows per
+timestamp key, ids 0..n-1, finite positive depths). Any other file is read
+again by a line reader: a refused or defective one, shuffled sidecar rows, a
+key split across runs or stamps equal at 6 decimals, a ``#`` line mid-file,
+an id ``1_0`` or beyond int64. It decides every error, the first defective
+line's, holding one dict entry per sidecar row (100,000 shuffled rows peak at
+3.5x the memory of the same rows in order) or one list of values per pose.
 """
 
 from __future__ import annotations
@@ -161,13 +162,12 @@ def write_depth_sidecar(path, traj: Trajectory) -> None:
             row = int(np.searchsorted(offsets, k, side="right")) - 1
             raise ValueError(f"depth {depths[offsets[row]:offsets[row + 1]].min()} at timestamp "
                              f"{traj.timestamps[row]:.{TIMESTAMP_DECIMALS}f} prints as 0.000000000")
-    counts = np.diff(offsets)
+    counts = np.diff(offsets).tolist()
     stamps = (f"{t:.{TIMESTAMP_DECIMALS}f}" for t in traj.timestamps.tolist())
-    ids = np.arange(len(depths)) - np.repeat(offsets[:-1], counts)
     with open(path, "w") as fh:
         fh.write("# timestamp anchor_id depth\n")
-        fh.writelines(map("{} {} {:.9f}\n".format,
-                          chain.from_iterable(map(repeat, stamps, counts.tolist())), ids, depths))
+        fh.writelines(map("{} {} {:.9f}\n".format, chain.from_iterable(map(repeat, stamps, counts)),
+                          chain.from_iterable(map(range, counts)), depths.tolist()))
 
 
 def _c_rows(path, dtype, ndmin):
@@ -217,23 +217,17 @@ def _read_sidecar_lines(path) -> dict:
 
 
 def read_depth_sidecar(path) -> dict:
-    """Depth arrays by timestamp key, in order of first appearance; the C
-    reader's rows if they pass the checks, else the line reader's."""
+    """Depth arrays by timestamp key, in order of first appearance: the C
+    reader's rows if they have the writers' layout, else the line reader's."""
     rows = _c_rows(path, [("t", float), ("i", np.int64), ("d", float)], 1)
     if rows is not None:
         t, ids, d = rows["t"], rows["i"], rows["d"]
         starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
-        groups = {}  # equal stamps share a key: one key per run of them
-        group = np.repeat([groups.setdefault(timestamp_key(s), len(groups))
-                           for s in t[starts].tolist()], np.diff(starts, append=len(t)))
-        counts = np.bincount(group)
-        first = np.cumsum(counts) - counts
-        expected = np.arange(len(t)) - np.repeat(first, counts)
-        in_order = np.all(group[1:] >= group[:-1]) and np.array_equal(ids, expected)
-        order = np.arange(len(t)) if in_order else np.lexsort((ids, group))
-        if (np.all((d > 0.0) & (d < math.inf)) and np.isfinite(t).all()
-                and (in_order or np.array_equal(ids[order], expected))):
-            return dict(zip(groups, np.split(d[order], first[1:])))
+        keys = [timestamp_key(s) for s in t[starts].tolist()]
+        run_ids = np.arange(len(t)) - np.repeat(starts, np.diff(starts, append=len(t)))
+        if (len(set(keys)) == len(keys) and np.array_equal(ids, run_ids)
+                and np.isfinite(t).all() and np.all((d > 0.0) & (d < math.inf))):
+            return dict(zip(keys, np.split(d, starts[1:])))
     return _read_sidecar_lines(path)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError
+from .errors import BehindCameraError, SedSlamError
 
 # Threshold below which the Taylor branch of exp/log is used.
 SMALL_ANGLE = 1e-8
@@ -151,13 +151,20 @@ def _as_rotation(rot) -> np.ndarray:
 
 
 def _rotation_defects(rot) -> np.ndarray:
-    """(3, n) masks of the matrices of an (n, 3, 3) stack that fail each check
-    of :func:`_as_rotation` after its shape check: not finite, not
-    orthonormal, det not +1. The arithmetic is that of the single check."""
+    """(n,) mask of the matrices of an (n, 3, 3) stack that fail a check of
+    :func:`_as_rotation` after its shape check: not finite, not orthonormal
+    or det not +1. The arithmetic is that of the single check."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram, det = _rotation_residuals(*rot.reshape(-1, 9).T)
-        return np.stack([~np.isfinite(rot).all(axis=(1, 2)),
-                         (np.abs(gram) > _ORTHO_TOL).any(axis=0), np.abs(det) > _ORTHO_TOL])
+        return (~np.isfinite(rot).all(axis=(1, 2)) | (np.abs(gram) > _ORTHO_TOL).any(axis=0)
+                | (np.abs(det) > _ORTHO_TOL))
+
+
+def _finite_svd(m, what, stage=None, **kwargs):
+    """``np.linalg.svd`` of ``m``, which must be finite: on inf LAPACK may never return."""
+    if not np.isfinite(m).all():
+        raise SedSlamError(f"{what} is not finite", stage)
+    return np.linalg.svd(m, **kwargs)
 
 
 def _as_vector(v, name="vector") -> np.ndarray:
@@ -302,7 +309,8 @@ class Intrinsics:
 def essential_from_fundamental(f, k1: Intrinsics, k2: Intrinsics) -> np.ndarray:
     """Essential matrix of a fundamental matrix F = K2^-T E K1^-1: E = K2ᵀ F K1,
     where K1 calibrates the anchor frame and K2 the match frame."""
-    return k2.matrix().T @ np.asarray(f, dtype=float) @ k1.matrix()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf in E is refused at its SVD
+        return k2.matrix().T @ np.asarray(f, dtype=float) @ k1.matrix()
 
 
 def project(points, k: Intrinsics) -> np.ndarray:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssociationError
-from .geom import RelativePose, rotation_angle
+from .errors import AssociationError, SedSlamError
+from .geom import RelativePose, _finite_svd, rotation_angle
 from .sim3 import Trajectory
 
 ASSOCIATION_WINDOW = 0.020  # seconds
@@ -52,12 +52,13 @@ def umeyama_alignment(src, dst, with_scale: bool = True):
     """Closed-form similarity (s, R, t) minimizing ||dst - (s R src + t)||^2."""
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    xs = src - mu_s
-    xd = dst - mu_d
-    cov = xd.T @ xs / len(src)
-    u, d, vt = np.linalg.svd(cov)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
+        mu_s = src.mean(axis=0)
+        mu_d = dst.mean(axis=0)
+        xs = src - mu_s
+        xd = dst - mu_d
+        cov = xd.T @ xs / len(src)
+    u, d, vt = _finite_svd(cov, "cross-covariance", "align")
     s_fix = np.eye(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
         s_fix[2, 2] = -1.0
@@ -109,7 +110,8 @@ def ate_rmse(est: Trajectory, gt: Trajectory, mode: str = "sim3",
     """RMSE of position residuals after global trajectory alignment.
 
     ``mode`` selects the alignment group: "sim3" estimates scale, rotation
-    and translation (7 DOF), "se3" fixes scale to 1.
+    and translation (7 DOF), "se3" fixes scale to 1. A non-finite RMSE
+    raises :class:`SedSlamError` at stage "rmse".
     """
     if mode not in ("sim3", "se3"):
         raise ValueError(f"unknown alignment mode {mode!r}")
@@ -121,5 +123,9 @@ def ate_rmse(est: Trajectory, gt: Trajectory, mode: str = "sim3",
     p_est = est.translations[i]
     p_gt = gt.translations[j]
     scale, rot, t = umeyama_alignment(p_est, p_gt, with_scale=(mode == "sim3"))
-    residual = p_gt - (scale * (p_est @ rot.T) + t)
-    return float(np.sqrt(np.mean(np.sum(residual * residual, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = p_gt - (scale * (p_est @ rot.T) + t)
+        rmse = float(np.sqrt(np.mean(np.sum(residual * residual, axis=1))))
+    if not np.isfinite(rmse):
+        raise SedSlamError(f"RMSE is {rmse}", "rmse")
+    return rmse

@@ -147,25 +147,14 @@ class Trajectory:
 
 
 def _check_rows(ts, rot, trans, depths, offsets) -> None:
-    """Raise what building the first bad keyframe would: the checks of
-    :class:`Se3Pose`, then those of :class:`Keyframe`, in their order."""
-    bad_depth = ~((depths > 0.0) & (depths < math.inf))
-    defects = np.vstack([
-        _rotation_defects(rot),
-        ~np.isfinite(trans).all(axis=1),
-        ~np.isfinite(ts),
-        np.isin(np.arange(len(ts)),
-                np.searchsorted(offsets, np.flatnonzero(bad_depth), side="right") - 1),
-    ])
-    bad = defects.any(axis=0)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError((
-            "rotation must be finite", "rotation matrix is not orthonormal",
-            "rotation matrix must have det +1", "translation must be finite",
-            f"keyframe timestamp must be finite, got {float(ts[row])}",
-            "keyframe depths must be finite and positive",
-        )[int(np.argmax(defects[:, row]))])
+    """Build the first keyframe flagged by one mask of the checks of :class:`Se3Pose`
+    and :class:`Keyframe`, with their arithmetic, so that its constructors raise."""
+    bad_before = np.cumsum(np.concatenate([[0], ~((depths > 0.0) & (depths < math.inf))]))
+    bad = (_rotation_defects(rot) | ~np.isfinite(trans).all(axis=1) | ~np.isfinite(ts)
+           | (bad_before[offsets[1:]] > bad_before[offsets[:-1]]))
+    for row in np.flatnonzero(bad).tolist():  # the first flagged row raises
+        Keyframe(float(ts[row]), Se3Pose(rot[row], trans[row]),
+                 depths[offsets[row]:offsets[row + 1]])
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .geom import (
     LINE_EPS,
     Intrinsics,
     RelativePose,
+    _finite_svd,
     calibrated_rays,
     essential_from_fundamental,
     skew,
@@ -182,15 +183,16 @@ def weighted_eight_point(mset: AnchorMatchSet) -> np.ndarray:
     projects the result to rank 2 and returns it with unit Frobenius norm,
     in the coordinate units the set is expressed in.
     """
-    rows = _design_rows(np.concatenate([mset.anchors0, mset.matches1]),
-                        np.concatenate([mset.matches0, mset.anchors1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
+        rows = _design_rows(np.concatenate([mset.anchors0, mset.matches1]),
+                            np.concatenate([mset.matches0, mset.anchors1]))
     w = np.concatenate([mset.weights0, mset.weights1])
     usable = w > 0.0
     if int(np.sum(usable)) < 8:
         raise InsufficientMatchesError(
             f"need at least 8 positive-weight matches, have {int(np.sum(usable))}")
     m = rows[usable] * w[usable, None]
-    _, sv, vt = np.linalg.svd(m, full_matrices=False)
+    _, sv, vt = _finite_svd(m, "weighted design matrix", full_matrices=False)
     rank = int(np.sum(sv > sv[0] * _RANK_TOL))
     if rank < 8:
         raise RankDeficiencyError(
@@ -208,7 +210,7 @@ _Z = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def decompose_essential(e) -> list[RelativePose]:
     """Four pose candidates [(t,R1), (t,R2), (-t,R1), (-t,R2)] of an
     essential matrix, via its SVD and the W/Z factor matrices."""
-    u, _, vt = np.linalg.svd(np.asarray(e, dtype=float))
+    u, _, vt = _finite_svd(np.asarray(e, dtype=float), "essential matrix")
     r1 = u @ _W @ vt
     if np.linalg.det(r1) < 0.0:
         r1 = -r1

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sedslam
 from sedslam.cli import build_parser, main
 from sedslam.files import read_match_file, write_depth_sidecar, write_match_file, write_trajectory
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_from_quat, so3_exp
@@ -307,6 +311,60 @@ class TestAteCommand:
         pa = self._write(tmp_path, "a.txt", a)
         pb = self._write(tmp_path, "b.txt", b)
         assert main(["ate", pa, pb, "--mode", "sim3"]) == 1
+
+    def test_non_finite_rmse_exits_2(self, tmp_path, capsys):
+        traj = self._line_trajectory(n=50)
+        far = Trajectory(tuple(Keyframe(k.timestamp, Se3Pose(np.eye(3), 1e160 * k.pose.translation),
+                                        k.depths) for k in traj.keyframes))
+        pa = self._write(tmp_path, "far.txt", far)
+        pb = self._write(tmp_path, "gt.txt", traj)
+        assert main(["ate", pa, pb, "--mode", "se3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: rmse: RMSE is inf\n"
+
+
+def _set_field(path, keep, index, value):
+    """Set field ``index`` of the data lines of ``path`` that ``keep`` picks."""
+    with open(path) as fh:
+        text = fh.read()
+    lines = []
+    for n, line in enumerate(text.splitlines()):
+        fields = line.split()
+        if fields and not line.startswith("#") and keep(n, fields):
+            fields[index] = value
+            line = " ".join(fields)
+        lines.append(line)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _run_cli(*argv):
+    """The CLI in a child process, which a hang cannot stall for more than 10 s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sedslam.__file__)))
+    return subprocess.run([sys.executable, "-m", "sedslam.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env=env)
+
+
+class TestNoHang:
+    """Finite inputs whose products overflow to inf once hung LAPACK's SVD."""
+
+    def test_two_view_with_huge_focal_lengths_exits_2(self, tmp_path):
+        m = str(tmp_path / "m.txt")
+        assert main(["synth", "two-view", "--seed", "1", "--sigma", "1", "--outliers", "0.2",
+                     "--out", m]) == 0
+        for index in (2, 3):  # fx and fy of both intrinsics lines
+            _set_field(m, lambda n, fields: fields[0] == "intrinsics", index, "1e160")
+        run = _run_cli("two-view", m)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "error: decompose: essential matrix is not finite\n"
+
+    def test_ate_with_a_huge_translation_exits_2(self, tmp_path):
+        assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        a = str(tmp_path / "trajA.txt")
+        _set_field(a, lambda n, fields: n == 2, 1, "1e160")
+        run = _run_cli("ate", a, a)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "error: align: cross-covariance is not finite\n"
 
 
 class TestSynthCommand:

@@ -472,6 +472,29 @@ def test_sidecar_id_written_as_a_float_is_refused(tmp_path):
     assert str(exc.value) == "line 4: invalid literal for int() with base 10: '2.0'"
 
 
+# Values on binary grids print exactly, and 180-degree rotations about the
+# axes have quaternions of 0 and 1, so the columns read back bit for bit.
+def test_writer_output_never_reaches_the_line_reader(tmp_path, monkeypatch):
+    rotations = np.array([np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                          np.diag([-1.0, -1.0, 1.0])] * 3)
+    counts = [3, 0, 96, 1, 5, 0, 2, 7, 4, 0, 8, 6]
+    traj = Trajectory.from_columns(100.0 + 0.25 * np.arange(12), rotations,
+                                   np.arange(36.0).reshape(12, 3) / 8.0 - 2.0,
+                                   1.0 + np.arange(sum(counts)) / 4.0, np.cumsum([0] + counts))
+    tp, dp = tmp_path / "t.txt", tmp_path / "t.depths"
+    write_trajectory(tp, traj)
+    write_depth_sidecar(dp, traj)
+
+    def line_reader(*args):
+        raise AssertionError("a writer's file reached the line reader")
+
+    monkeypatch.setattr("sedslam.files._read_sidecar_lines", line_reader)
+    monkeypatch.setattr("sedslam.files._data_lines", line_reader)
+    back = read_trajectory(tp, dp)
+    for name in ("timestamps", "rotations", "translations", "depths", "depth_offsets"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+
+
 def test_header_only_sidecar_reads_as_empty(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("# timestamp anchor_id depth\n")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from oracles import (epipolar_line, essential_from_pose, is_degenerate_line, poi
                      sed_jacobian_einsum, select_by_ground_truth)
 from test_acceptance import random_config
 
+import sedslam
 from sedslam import twoview
 from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
 from sedslam.geom import (
@@ -142,6 +147,28 @@ class TestWeightedEightPoint:
                                  K, K, SIZE, SIZE)
         with pytest.raises(InsufficientMatchesError):
             weighted_eight_point(starved)
+
+    # An anchor and its match far outside the image overflow the design
+    # matrix to inf, on which LAPACK's SVD once never returned; the solve
+    # runs in a child process, which such a hang stalls for at most 10 s.
+    def test_overflowing_design_matrix_is_refused(self):
+        script = "\n".join([
+            "from dataclasses import replace",
+            "from sedslam.synth import make_two_view",
+            "from sedslam.twoview import solve_two_view",
+            "mset, _ = make_two_view(1, 32)",
+            "far = mset.anchors0.copy()",
+            "far[0] = 1e300",
+            "try:",
+            "    solve_two_view(replace(mset, anchors0=far, matches0=far))",
+            "except Exception as exc:",
+            "    print(type(exc).__name__, exc)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sedslam.__file__)))
+        run = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                             text=True, timeout=10, env=env)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "SedSlamError eight_point: weighted design matrix is not finite\n"
 
 
 class TestDecomposeEssential:
