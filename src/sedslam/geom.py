@@ -10,6 +10,8 @@ Conventions used throughout the package:
   of pixel ``a`` at depth d is ``d * K^-1 (a, 1)``.
 
 All types are immutable values and all operations are pure functions.
+Public constructors check their values; values a solve derives from checked
+ones are built unchecked (:func:`_unchecked`), with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -29,6 +31,23 @@ LINE_EPS = 1e-12
 MIN_RAY_ANGLE = 1e-4
 
 _ORTHO_TOL = 1e-9
+_EYE3 = np.eye(3)
+
+
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a 1-D float array, with its arithmetic and less dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, arrays made
+    read-only, without the checks and copies of its ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def skew(v) -> np.ndarray:
@@ -49,14 +68,14 @@ def so3_exp(xi) -> np.ndarray:
     Uses a second-order Taylor branch for angles below ``SMALL_ANGLE``.
     """
     xi = np.asarray(xi, dtype=float)
-    theta = float(np.linalg.norm(xi))
+    theta = _norm(xi)
     k = skew(xi)
     kk = k @ k
     if theta < SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * kk
+        return _EYE3 + k + 0.5 * kk
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * kk
+    return _EYE3 + a * k + b * kk
 
 
 def so3_log(rot) -> np.ndarray:
@@ -203,7 +222,12 @@ class RelativePose:
     def inverse(self) -> "RelativePose":
         rot = self.rotation.T
         t = -rot @ self.translation_dir
-        return RelativePose(rot, t / np.linalg.norm(t))
+        return _derived_pose(rot, t / _norm(t))
+
+
+def _derived_pose(rot, t) -> RelativePose:
+    """``RelativePose(rot, t)`` of values derived from checked ones, unchecked."""
+    return _unchecked(RelativePose, np.array(rot, dtype=float), t / _norm(t))
 
 
 @dataclass(frozen=True, eq=False)

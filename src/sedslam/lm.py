@@ -13,15 +13,17 @@ shorter than ``STEP_TOL`` ("step"), an accepted decrease below ``COST_TOL *
 max(1, cost)`` ("cost"), both converged; damping above ``LAMBDA_MAX``
 ("damping") or the iteration cap ("max_iters"). The decrease test is
 relative, as their step test ‖h‖ ≤ ε₂(‖x‖ + ε₂) is (§3.2): an absolute
-one cannot fire once the cost's rounding step exceeds it.
+one cannot fire once the cost's rounding step exceeds it. A non-finite step
+is rejected: its NaN point's cost may read as 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
+from .geom import _norm
 
 LAMBDA_INIT = 1e-4
 LAMBDA_MIN = 1e-10
@@ -67,9 +69,9 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
     * ``retract(x, step) -> x``: the updated point, or None when the step
       leaves the domain.
 
-    A failed factorization and a step out of the domain count as rejected
-    steps. Every iteration, including a rejected one, counts toward
-    ``max_iters``.
+    A failed factorization, a non-finite step and a step out of the domain
+    count as rejected steps. Every iteration, including a rejected one,
+    counts toward ``max_iters``.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
@@ -87,11 +89,12 @@ def levenberg_marquardt(x0, evaluate, linearize, solve, retract, max_iters: int 
         if system is None:
             system = linearize(x, info)
         step = solve(system, lam)
-        if step is not None and np.linalg.norm(step) < STEP_TOL:
+        size = math.nan if step is None else _norm(step)
+        if size < STEP_TOL:
             reason = "step"
             break
-        candidate = None if step is None else retract(x, step)
-        new_cost, new_info = (np.inf, None) if candidate is None else evaluate(candidate)
+        candidate = retract(x, step) if math.isfinite(size) else None
+        new_cost, new_info = (math.inf, None) if candidate is None else evaluate(candidate)
         if new_cost < cost:
             decrease = cost - new_cost
             x, cost, info = candidate, new_cost, new_info

@@ -49,7 +49,8 @@ def pose_auc(errors, threshold: float) -> float:
 
 
 def umeyama_alignment(src, dst, with_scale: bool = True):
-    """Closed-form similarity (s, R, t) minimizing ||dst - (s R src + t)||^2."""
+    """Closed-form similarity (s, R, t) minimizing ||dst - (s R src + t)||^2;
+    an overflowed covariance or variance raises :class:`SedSlamError`."""
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
@@ -64,7 +65,10 @@ def umeyama_alignment(src, dst, with_scale: bool = True):
         s_fix[2, 2] = -1.0
     rot = u @ s_fix @ vt
     if with_scale:
-        var_s = np.mean(np.sum(xs * xs, axis=1))
+        with np.errstate(over="ignore"):
+            var_s = np.mean(np.sum(xs * xs, axis=1))
+        if not np.isfinite(var_s):
+            raise SedSlamError("source variance is not finite", "align")
         scale = float(np.trace(np.diag(d) @ s_fix) / var_s) if var_s > 0.0 else 1.0
     else:
         scale = 1.0

@@ -18,13 +18,13 @@ the two by one stable sort of the timestamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientInliersError, TimestampCollisionError, TooFewDepthsError, _staged
-from .geom import RelativePose, Se3Pose, Sim3Transform, _rotation_defects
+from .geom import RelativePose, Se3Pose, Sim3Transform, _rotation_defects, _unchecked
 from .twoview import AnchorMatchSet, SedSolveReport, front_depths, solve_two_view
 
 # Default inlier band of the depth-ratio vote.
@@ -57,15 +57,6 @@ class Keyframe:
             raise ValueError("keyframe depths must be finite and positive")
         d.flags.writeable = False
         object.__setattr__(self, "depths", d)
-
-
-def _unchecked(cls, *values):
-    """An instance of the frozen dataclass ``cls`` holding ``values`` as they
-    are, without the checks and copies of its ``__post_init__``."""
-    obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values):
-        object.__setattr__(obj, f.name, value)
-    return obj
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -32,7 +32,10 @@ from .geom import (
     LINE_EPS,
     Intrinsics,
     RelativePose,
+    _derived_pose,
     _finite_svd,
+    _norm,
+    _unchecked,
     calibrated_rays,
     essential_from_fundamental,
     skew,
@@ -113,11 +116,13 @@ class AnchorMatchSet:
     @cached_property
     def _rows(self):
         """Read-only SED row table, built on first use: per direction (frame-0 anchors
-        first) the anchor rays and match-frame K^-T, then all matches and sqrt weights."""
+        first) the anchor rays and match-frame K^-T, then all matches as rows (x, y, 1)
+        and sqrt weights."""
         rows = ((calibrated_rays(self.anchors0, self.intrinsics0),
                  calibrated_rays(self.anchors1, self.intrinsics1)),
                 (self.intrinsics1.inv_matrix().T, self.intrinsics0.inv_matrix().T),
-                np.concatenate([self.matches0, self.matches1]),
+                np.concatenate([np.concatenate([self.matches0, self.matches1]),
+                                np.ones((self.n_total, 1))], axis=1),
                 np.sqrt(np.concatenate([self.weights0, self.weights1])))
         for a in (*rows[0], *rows[1], *rows[2:]):
             a.flags.writeable = False
@@ -158,7 +163,7 @@ def normalize_points(mset: AnchorMatchSet):
     """
     t0 = normalize_transform(*mset.size0)
     t1 = normalize_transform(*mset.size1)
-    normalized = replace(
+    normalized = _derived_set(
         mset,
         anchors0=apply_homography(t0, mset.anchors0),
         matches0=apply_homography(t1, mset.matches0),
@@ -166,6 +171,12 @@ def normalize_points(mset: AnchorMatchSet):
         matches1=apply_homography(t0, mset.matches1),
     )
     return normalized, t0, t1
+
+
+def _derived_set(mset: AnchorMatchSet, **points) -> AnchorMatchSet:
+    """``replace(mset, **points)`` of points derived from the checked ``mset``, unchecked."""
+    return _unchecked(AnchorMatchSet, *(points.get(name, getattr(mset, name))
+                                        for name in AnchorMatchSet.__dataclass_fields__))
 
 
 def _design_rows(p0, p1):
@@ -218,9 +229,9 @@ def decompose_essential(e) -> list[RelativePose]:
     if np.linalg.det(r2) < 0.0:
         r2 = -r2
     t = vee(u @ _Z @ u.T)
-    t = t / np.linalg.norm(t)
-    return [RelativePose(r1, t), RelativePose(r2, t),
-            RelativePose(r1, -t), RelativePose(r2, -t)]
+    t = t / _norm(t)
+    return [_derived_pose(r1, t), _derived_pose(r2, t),
+            _derived_pose(r1, -t), _derived_pose(r2, -t)]
 
 
 def front_depths(pose, mset: AnchorMatchSet):
@@ -233,19 +244,37 @@ def front_depths(pose, mset: AnchorMatchSet):
     depths1, front1); a direction without anchors gives empty arrays.
     ``pose`` may also be a sequence of P candidates, triangulated in one
     pass per direction, which adds a leading axis of length P to each array.
+    A candidate whose rotation is bit-equal to an earlier one's and whose
+    translation is that one's exact negation is not triangulated: every
+    operation of the triangulation and of the inverse is odd in t, so its
+    depths are the earlier candidate's negated (up to the sign of an exact
+    zero, which no mask sees) and its ray mask is the same.
     """
-    inverse = pose.inverse() if isinstance(pose, RelativePose) else [p.inverse() for p in pose]
+    if isinstance(pose, RelativePose):
+        return tuple(a[0] for a in front_depths([pose], mset))
+    unique, src, sign, index = [], [], [], {}
+    for p in pose:
+        rot = p.rotation.tobytes()
+        twin = index.get((rot, (-p.translation_dir).tobytes()))
+        if twin is None:
+            index[rot, p.translation_dir.tobytes()] = len(unique)
+            unique.append(p)
+        src.append(len(unique) - 1 if twin is None else twin)
+        sign.append(1.0 if twin is None else -1.0)
+    sign = np.array(sign)[:, None]
     out = []
     k0, k1 = mset.intrinsics0, mset.intrinsics1
-    for args in ((pose, mset.anchors0, mset.matches0, k0, k1),
-                 (inverse, mset.anchors1, mset.matches1, k1, k0)):
+    for args in ((unique, mset.anchors0, mset.matches0, k0, k1),
+                 ([p.inverse() for p in unique], mset.anchors1, mset.matches1, k1, k0)):
         d1, d2, valid = triangulate_batch(*args)
-        out += [d1, valid & (d1 > 0.0) & (d2 > 0.0)]
+        d1, d2 = sign * d1[src], sign * d2[src]
+        out += [d1, valid[src] & (d1 > 0.0) & (d2 > 0.0)]
     return tuple(out)
 
 
 def chirality_scores(candidates, mset: AnchorMatchSet) -> np.ndarray:
-    """Weighted count of matches triangulating in front of both cameras."""
+    """Weighted count of matches triangulating in front of both cameras; a
+    candidate negating an earlier one's t reuses its :func:`front_depths`."""
     _, front0, _, front1 = front_depths(candidates, mset)
     return np.array([float(np.sum(mset.weights0[f0])) + float(np.sum(mset.weights1[f1]))
                      for f0, f1 in zip(front0, front1)])
@@ -266,6 +295,8 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
 
 
 _GEN = np.stack([skew(e) for e in np.eye(3)])  # so(3) generators
+_XY0 = np.array([1.0, 1.0, 0.0])
+_EYE_ROWS = np.eye(3)[:, None, :]
 
 
 def _epipolar(rot, t, mset: AnchorMatchSet):
@@ -276,14 +307,14 @@ def _epipolar(rot, t, mset: AnchorMatchSet):
     Returns (lines, d, zeta, good, err): the lines, l_x^2 + l_y^2 (1 on
     degenerate lines), l . [m; 1], the non-degenerate mask and the errors.
     """
-    rays, k_invt, matches, _ = mset._rows
+    rays, k_invt, m_xy1, _ = mset._rows
     tx = skew(t)
     lines = np.concatenate([x @ (k @ e).T for x, k, e in zip(rays, k_invt, (tx @ rot, rot.T @ tx))])
     lx, ly, lz = lines[:, 0], lines[:, 1], lines[:, 2]
     d = lx * lx + ly * ly
     good = d > LINE_EPS
     d = np.where(good, d, 1.0)
-    zeta = lx * matches[:, 0] + ly * matches[:, 1] + lz
+    zeta = lx * m_xy1[:, 0] + ly * m_xy1[:, 1] + lz
     err = (zeta / d)[:, None] * lines[:, :2]
     return lines, d, zeta, good, err
 
@@ -310,7 +341,7 @@ def _jacobian(pose: RelativePose, mset: AnchorMatchSet, epi):
     """Jacobians (m, 2, 6) of the non-degenerate residuals w.r.t. the forward
     update (xi_R, xi_t) at identity, from the epipolar arrays at ``pose``."""
     rot, t = pose.rotation, pose.translation_dir
-    rays, k_invt, matches, sw = mset._rows
+    rays, k_invt, m_xy1, sw = mset._rows
     lines, d, zeta, good, _ = epi
 
     # d err / d l, rows of shape (2, 3): entry (i, j) is
@@ -319,8 +350,7 @@ def _jacobian(pose: RelativePose, mset: AnchorMatchSet, epi):
     n_rows = len(lines)
     inv_d = 1.0 / d
     inv_d2 = inv_d * inv_d
-    l_xy, l_xy0 = lines[:, :2, None], lines * [1.0, 1.0, 0.0]
-    m_xy1 = np.concatenate([matches, np.ones((n_rows, 1))], axis=1)
+    l_xy, l_xy0 = lines[:, :2, None], lines * _XY0
     j_l = (-2.0 * l_xy * l_xy0[:, None] * zeta[:, None, None] * inv_d2[:, None, None]
            + l_xy * m_xy1[:, None] * inv_d[:, None, None])
     diag = zeta * inv_d
@@ -333,7 +363,7 @@ def _jacobian(pose: RelativePose, mset: AnchorMatchSet, epi):
     # matrices form a 9 x 6 matrix D, and since l = K^-T E x a row's Jacobian
     # block is (d err / d l ⊗ x) D: one product per direction.
     tx = skew(t)
-    te = t[:, None] * np.eye(3)[:, None, :]
+    te = t[:, None] * _EYE_ROWS
     gt = te - te.transpose(0, 2, 1)
     d_mat = np.concatenate([k_invt[0] @ np.concatenate([tx @ _GEN, gt]) @ rot,
                             k_invt[1] @ rot.T @ np.concatenate([-_GEN @ tx, gt])])
@@ -376,7 +406,7 @@ def _damped_solve(system, lam):
 def _retract(pose: RelativePose, xi) -> RelativePose:
     rot = so3_exp(xi[:3]) @ pose.rotation
     t = so3_exp(xi[3:]) @ pose.translation_dir
-    return RelativePose(rot, t / np.linalg.norm(t))
+    return _derived_pose(rot, t / _norm(t))
 
 
 def lm_refine_sed(init: RelativePose, mset: AnchorMatchSet,
@@ -401,10 +431,11 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
     Matches on degenerate lines are left unchanged. Clamping is a projection
     and therefore idempotent.
     """
-    rays, _, matches, _ = mset._rows
+    rays, _, m_xy1, _ = mset._rows
     *_, good, err = _epipolar(pose.rotation, pose.translation_dir, mset)
+    matches = m_xy1[:, :2]
     new = np.where(good[:, None], matches - err, matches)
-    return mset.with_matches(*np.split(new, [len(rays[0])]))
+    return _derived_set(mset, matches0=new[:len(rays[0])], matches1=new[len(rays[0]):])
 
 
 def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:

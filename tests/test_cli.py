@@ -322,6 +322,19 @@ class TestAteCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: rmse: RMSE is inf\n"
 
+    def test_overflowed_source_variance_exits_2(self, tmp_path, capsys):
+        # The cross-covariance stays finite, but the squared offsets of the
+        # source positions overflow, which once collapsed the scale to 0.
+        assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        a, gt = tmp_path / "A.txt", tmp_path / "trajA.txt"
+        a.write_text(gt.read_text())
+        _set_field(str(a), lambda n, fields: n == 2, 1, "1e160")
+        capsys.readouterr()
+        assert main(["ate", str(a), str(gt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: align: source variance is not finite\n"
+
 
 def _set_field(path, keep, index, value):
     """Set field ``index`` of the data lines of ``path`` that ``keep`` picks."""

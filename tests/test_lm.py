@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sedslam import lm
+from sedslam import ba, lm, twoview
+from sedslam.synth import NoiseModel, make_ba_graph, make_two_view, perturb_pose
 
 
 def quadratic(offset=0.0):
@@ -87,3 +88,34 @@ def test_linearizes_only_at_accepted_points():
     assert len(linearized) == result.iterations - 1
     assert [evaluate(x)[0] for x, _ in linearized] == list(result.cost_trace[:-1])
     assert [info for _, info in linearized] == [x.tolist() for x, _ in linearized]
+
+
+@pytest.mark.parametrize("solver", ["twoview", "ba"])
+def test_non_finite_step_is_rejected(solver, monkeypatch):
+    # A NaN two-view pose has no finite SED term, so its cost reads 0, and a
+    # NaN BA pose gives a NaN cost; LM must reject the step before retracting.
+    module, name = ((twoview, "_damped_solve") if solver == "twoview"
+                    else (ba, "_damped_schur_solve"))
+    real, lams = getattr(module, name), []
+
+    def nan_once(system, lam):
+        lams.append(lam)
+        step = real(system, lam)
+        if len(lams) == 1:
+            step[0] = np.nan  # the first rotation entry: finite depths stay finite
+        return step
+
+    monkeypatch.setattr(module, name, nan_once)
+    if solver == "twoview":
+        mset, gt = make_two_view(3, 32, noise=NoiseModel(gaussian_sigma=0.5))
+        report = twoview.lm_refine_sed(perturb_pose(gt, 3.0, np.random.default_rng(3)), mset)
+        start, cost = report.initial_cost, report.final_cost
+        x = (report.pose.rotation, report.pose.translation_dir)
+    else:
+        graph, _, _ = make_ba_graph(3, n_frames=4, n_anchors=40, match_sigma=0.5)
+        report = ba.ba_solve(graph)
+        start, cost = report.cost_trace[0], report.cost_trace[-1]
+        x = [p.rotation for p in graph.poses] + [p.translation for p in graph.poses] + graph.depths
+    assert lams[1] == 4.0 * lams[0]  # the NaN step counted as rejected
+    assert all(np.all(np.isfinite(a)) for a in x)
+    assert np.isfinite(cost) and cost <= start
