@@ -249,7 +249,7 @@ def _retract(x, step, target_mean_log_depth):
     if np.any(rho <= 0.0):
         return None
     xi = np.concatenate([np.zeros(6), step[:n_pose]]).reshape(-1, 6)
-    d_rot = np.stack([so3_exp(w) for w in xi[:, :3]])
+    d_rot = so3_exp(xi[:, :3])
     new_rot = d_rot @ rot
     new_trans = np.einsum("fab,fb->fa", d_rot, trans) + xi[:, 3:]
     new_depths = 1.0 / rho

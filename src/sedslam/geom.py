@@ -12,6 +12,8 @@ Conventions used throughout the package:
 All types are immutable values and all operations are pure functions.
 Public constructors check their values; values a solve derives from checked
 ones are built unchecked (:func:`_unchecked`), with the same arithmetic.
+:func:`skew` and :func:`so3_exp` take one vector or a stack, each row rounded as it is alone;
+:func:`rotation_angle`, the norm of :func:`so3_log`, is within 1e-15 relative down to 1e-12 rad.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ MIN_RAY_ANGLE = 1e-4
 
 _ORTHO_TOL = 1e-9
 _EYE3 = np.eye(3)
+# Row p holds the generator skew(e_p), flattened: skew(v) is v @ _SKEW.
+_SKEW = np.cross(_EYE3[:, None], _EYE3).transpose(0, 2, 1).reshape(3, 9)
 
 
 def _norm(v) -> float:
@@ -51,9 +55,9 @@ def _unchecked(cls, *values):
 
 
 def skew(v) -> np.ndarray:
-    """3x3 matrix with ``skew(v) @ w == cross(v, w)``."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 matrix with ``skew(v) @ w == cross(v, w)``, for each vector of an (..., 3) ``v``."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW).reshape(v.shape + (3,))
 
 
 def vee(m) -> np.ndarray:
@@ -63,19 +67,17 @@ def vee(m) -> np.ndarray:
 
 
 def so3_exp(xi) -> np.ndarray:
-    """Rodrigues' formula mapping an axis-angle vector to a rotation matrix.
-
-    Uses a second-order Taylor branch for angles below ``SMALL_ANGLE``.
-    """
+    """Rodrigues' formula mapping axis-angle vectors (..., 3) to rotation matrices
+    (..., 3, 3), with a second-order Taylor branch for each vector whose angle, one
+    BLAS dot per vector as in :func:`_norm`, is below ``SMALL_ANGLE``."""
     xi = np.asarray(xi, dtype=float)
-    theta = _norm(xi)
     k = skew(xi)
-    kk = k @ k
-    if theta < SMALL_ANGLE:
-        return _EYE3 + k + 0.5 * kk
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return _EYE3 + a * k + b * kk
+    theta = np.sqrt(xi[..., None, :] @ xi[..., :, None])
+    big = theta >= SMALL_ANGLE
+    theta = np.maximum(theta, SMALL_ANGLE)  # keeps the unused general branch finite
+    a = np.where(big, np.sin(theta) / theta, 1.0)
+    b = np.where(big, (1.0 - np.cos(theta)) / (theta * theta), 0.5)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def so3_log(rot) -> np.ndarray:
@@ -93,9 +95,8 @@ def so3_log(rot) -> np.ndarray:
 
 
 def rotation_angle(rot) -> float:
-    """Geodesic angle (radians) of a rotation matrix."""
-    cos_theta = np.clip((np.trace(np.asarray(rot, dtype=float)) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.arccos(cos_theta))
+    """Geodesic angle (radians) of a rotation matrix, the norm of :func:`so3_log`."""
+    return _norm(so3_log(rot))
 
 
 def quat_from_rotation(rot) -> np.ndarray:
@@ -302,8 +303,12 @@ class Sim3Transform:
         Camera coordinates are rescaled by ``scale``, so per-camera depths
         must be multiplied by ``scale`` alongside this operation.
         """
-        return Se3Pose(self.rotation @ pose.rotation,
-                       self.scale * (self.rotation @ pose.translation) + self.translation)
+        return Se3Pose(*self._map_poses(pose.rotation, pose.translation))
+
+    def _map_poses(self, rot, trans):
+        """:meth:`transform_pose` of stacked rotations (..., 3, 3) and translations (..., 3)."""
+        return (self.rotation @ rot,
+                self.scale * (self.rotation @ trans[..., None])[..., 0] + self.translation)
 
 
 @dataclass(frozen=True)

@@ -334,17 +334,14 @@ def merge_trajectories(traj_a: Trajectory, traj_b: Trajectory,
     """Map trajectory b through a world-level Sim(3) and interleave by time.
 
     Depths of b scale by ``sim3.scale`` since camera coordinates rescale
-    alongside the world. Each mapped pose takes the arithmetic of
-    :meth:`Sim3Transform.transform_pose`, and the result is checked as any
-    trajectory is.
+    alongside the world. The poses of b are mapped as
+    :meth:`Sim3Transform.transform_pose` maps one, and the result is checked
+    as any trajectory is.
     """
     check_disjoint(traj_a, traj_b)
-    rot = np.concatenate([traj_a.rotations, sim3.rotation @ traj_b.rotations])
-    # A stack of matrix-vector products rounds each row as transform_pose does.
-    trans = np.concatenate([
-        traj_a.translations,
-        sim3.scale * (sim3.rotation @ traj_b.translations[:, :, None])[:, :, 0]
-        + sim3.translation])
+    rot_b, trans_b = sim3._map_poses(traj_b.rotations, traj_b.translations)
+    rot = np.concatenate([traj_a.rotations, rot_b])
+    trans = np.concatenate([traj_a.translations, trans_b])
     stamps = np.concatenate([traj_a.timestamps, traj_b.timestamps])
     order = np.argsort(stamps, kind="stable")
     depths = np.concatenate([traj_a.depths, sim3.scale * traj_b.depths])

@@ -163,13 +163,11 @@ def normalize_points(mset: AnchorMatchSet):
     """
     t0 = normalize_transform(*mset.size0)
     t1 = normalize_transform(*mset.size1)
-    normalized = _derived_set(
-        mset,
-        anchors0=apply_homography(t0, mset.anchors0),
-        matches0=apply_homography(t1, mset.matches0),
-        anchors1=apply_homography(t1, mset.anchors1),
-        matches1=apply_homography(t0, mset.matches1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
+        normalized = _derived_set(mset, anchors0=apply_homography(t0, mset.anchors0),
+                                  matches0=apply_homography(t1, mset.matches0),
+                                  anchors1=apply_homography(t1, mset.anchors1),
+                                  matches1=apply_homography(t0, mset.matches1))
     return normalized, t0, t1
 
 
@@ -294,7 +292,7 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
     return candidates[best], best
 
 
-_GEN = np.stack([skew(e) for e in np.eye(3)])  # so(3) generators
+_GEN = skew(np.eye(3))  # so(3) generators
 _XY0 = np.array([1.0, 1.0, 0.0])
 _EYE_ROWS = np.eye(3)[:, None, :]
 
@@ -404,9 +402,9 @@ def _damped_solve(system, lam):
 
 
 def _retract(pose: RelativePose, xi) -> RelativePose:
-    rot = so3_exp(xi[:3]) @ pose.rotation
-    t = so3_exp(xi[3:]) @ pose.translation_dir
-    return _derived_pose(rot, t / _norm(t))
+    d_rot, d_t = so3_exp(xi.reshape(2, 3))
+    t = d_t @ pose.translation_dir
+    return _derived_pose(d_rot @ pose.rotation, t / _norm(t))
 
 
 def lm_refine_sed(init: RelativePose, mset: AnchorMatchSet,

@@ -14,8 +14,8 @@ import numpy as np
 from sedslam.ba import _observations, _project, _state
 from sedslam.errors import (BehindCameraError, SedSlamError, TimestampCollisionError,
                             TrajectoryFileError)
-from sedslam.geom import (LINE_EPS, Intrinsics, RelativePose, Se3Pose, project, rotation_angle,
-                          skew, triangulate_batch)
+from sedslam.geom import (LINE_EPS, SMALL_ANGLE, Intrinsics, RelativePose, Se3Pose, project,
+                          rotation_angle, skew, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
 from sedslam.twoview import _epipolar
 
@@ -249,6 +249,33 @@ def rotation_from_quat_scalar(q):
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def skew_scalar(v):
+    """3x3 matrix with ``skew(v) @ w == cross(v, w)`` of one vector, entry by entry."""
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def so3_exp_scalar(xi):
+    """Rodrigues' formula for one axis-angle vector, with the second-order
+    Taylor branch below ``SMALL_ANGLE``."""
+    xi = np.asarray(xi, dtype=float)
+    theta = math.sqrt(xi.dot(xi))
+    k = skew_scalar(xi)
+    kk = k @ k
+    if theta < SMALL_ANGLE:
+        return np.eye(3) + k + 0.5 * kk
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * k + b * kk
+
+
+def rotation_angle_arccos(rot):
+    """Geodesic angle of a rotation matrix as ``arccos((tr R - 1) / 2)``, which
+    is flat at 0: it reads 0 below about 1.8e-8 rad."""
+    cos_theta = np.clip((np.trace(np.asarray(rot, dtype=float)) - 1.0) / 2.0, -1.0, 1.0)
+    return float(np.arccos(cos_theta))
 
 
 def quat_from_rotation_scalar(rot):

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (DegenerateLineError, ParallelRaysError, backproject, epipolar_line,
                      essential_from_pose, fundamental_from_essential, is_degenerate_line,
-                     point_line_error, quat_from_rotation_scalar, rotation_from_quat_scalar,
-                     rotation_rejection, triangulate)
+                     point_line_error, quat_from_rotation_scalar, rotation_angle_arccos,
+                     rotation_from_quat_scalar, rotation_rejection, skew_scalar, so3_exp_scalar,
+                     triangulate)
 
 from sedslam.errors import BehindCameraError
 from sedslam.geom import (
@@ -15,6 +18,7 @@ from sedslam.geom import (
     Sim3Transform,
     project,
     quat_from_rotation,
+    rotation_angle,
     rotation_from_quat,
     skew,
     so3_exp,
@@ -294,6 +298,41 @@ def test_batched_rotation_quaternions_equal_scalar_branches():
         assert np.array_equal(qb, quat_from_rotation_scalar(r))
     assert np.array_equal(quat_from_rotation(rot[:7].reshape(7, 1, 3, 3)), q[:7, None])
     assert np.array_equal(quat_from_rotation(rot[0]), q[0])
+
+
+def _axis_angles(min_log10):
+    """Axis-angle vectors of angle 10**e, e from ``min_log10`` to log10(3), about
+    axes that may hold zero entries of either sign."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+    axis = st.lists(entry, min_size=3, max_size=3).filter(any)
+    return st.builds(lambda a, e: np.array(a) / np.linalg.norm(a) * 10.0 ** e,
+                     axis, st.floats(min_log10, math.log10(3.0)))
+
+
+# Angles from 1e-9 to 3 rad fall on both sides of SMALL_ANGLE = 1e-8.
+@settings(max_examples=200)
+@given(rows=st.lists(st.one_of(_axis_angles(-9.0), st.just(np.zeros(3))), min_size=1, max_size=6))
+def test_stacked_skew_and_exp_equal_the_scalar_oracles(rows):
+    xi = np.array(rows)
+    k, rot = skew(xi), so3_exp(xi)
+    for v, kv, rv in zip(xi, k, rot):
+        # skew_scalar negates a zero entry to -0.0; the stacked product sums it to +0.0.
+        assert kv.tobytes() == (skew_scalar(v) + 0.0).tobytes()
+        assert rv.tobytes() == so3_exp_scalar(v).tobytes()
+        assert so3_exp(v).tobytes() == rv.tobytes()
+    # A column view of a wider array, as BA's step passes it, and extra leading axes.
+    assert so3_exp(np.concatenate([xi, xi], axis=1)[:, :3]).tobytes() == rot.tobytes()
+    assert so3_exp(xi[:, None]).tobytes() == rot.tobytes()
+
+
+@settings(max_examples=200)
+@given(v=_axis_angles(-12.0))
+def test_rotation_angle_reads_the_exp_angle(v):
+    rot = so3_exp(v)
+    angle = np.linalg.norm(v)
+    assert abs(rotation_angle(rot) - angle) <= 1e-15 * angle
+    # The arccos form reads 0 up to about 1.8e-8 rad and stays within 2e-8 rad up to 3 rad.
+    assert abs(rotation_angle(rot) - rotation_angle_arccos(rot)) < 2e-8
 
 
 # Rotations perturbed entrywise by up to 0.5e-9 or 2e-9, about the

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,14 +14,15 @@ from test_acceptance import random_config
 
 import sedslam
 from sedslam import twoview
-from sedslam.errors import AmbiguityError, InsufficientMatchesError, RankDeficiencyError
+from sedslam.errors import (AmbiguityError, InsufficientMatchesError, RankDeficiencyError,
+                            SedSlamError)
 from sedslam.geom import (
     Intrinsics,
     RelativePose,
     _derived_pose,
     essential_from_fundamental,
+    rotation_angle,
     so3_exp,
-    so3_log,
 )
 from sedslam.metrics import pose_error
 from sedslam.synth import NoiseModel, make_two_view, perturb_pose
@@ -173,6 +175,14 @@ class TestWeightedEightPoint:
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout == "SedSlamError eight_point: weighted design matrix is not finite\n"
 
+    def test_overflowing_normalization_is_refused_without_a_warning(self):
+        mset, _ = make_two_view(0, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SedSlamError) as exc_info:
+                solve_two_view(replace(mset, size0=(1e-306, 512)))
+        assert exc_info.value.stage == "eight_point"
+
 
 class TestDecomposeEssential:
     def test_round_trip_contains_pose(self):
@@ -210,8 +220,8 @@ class TestChirality:
         cands = decompose_essential(essential_from_pose(gt))
         pose, idx = select_by_chirality(cands, mset)
         err = pose_error(pose, gt)
-        # the arccos-based angle quantizes at ~1.2e-6 deg near zero
-        assert err.rot_deg < 1e-5 and err.trans_deg < 1e-5
+        # the translation angle is an arccos, which quantizes at ~8.5e-7 deg near zero
+        assert err.rot_deg < 1e-9 and err.trans_deg < 1e-5
         scores = chirality_scores(cands, mset)
         assert scores[idx] == pytest.approx(float(np.sum(mset.weights0) + np.sum(mset.weights1)))
 
@@ -628,8 +638,7 @@ class TestSolveTwoView:
                                  K, K, SIZE, SIZE)
         pose_a = solve_two_view(with_dead).pose
         pose_b = solve_two_view(without).pose
-        # so3_log resolves angles below the arccos quantization floor
-        rot = np.degrees(np.linalg.norm(so3_log(pose_a.rotation.T @ pose_b.rotation)))
+        rot = np.degrees(rotation_angle(pose_a.rotation.T @ pose_b.rotation))
         cross = np.linalg.norm(np.cross(pose_a.translation_dir, pose_b.translation_dir))
         assert rot < 1e-9
         assert np.degrees(np.arcsin(min(cross, 1.0))) < 1e-9
@@ -679,9 +688,9 @@ def test_unchecked_builds_equal_checked_ones(seed, n, xi):
 
 
 # Largest differences over twoview-96 inputs (make_two_view seeds 0-299 under
-# the criterion-4 noise model): 2.96e-6 deg in rotation and 3.72e-6 deg in
-# translation direction, the arccos floor of pose_error, and 3.82e-14 relative
-# in final cost. Iteration counts may differ.
+# the criterion-4 noise model): 1.98e-6 deg in rotation, 3.72e-6 deg in
+# translation direction, the arccos floor of pose_error's translation angle,
+# and 3.82e-14 relative in final cost. Iteration counts may differ.
 @settings(max_examples=60)
 @given(seed=st.integers(0, 299))
 def test_swapping_the_frames_inverts_the_pose(seed):
