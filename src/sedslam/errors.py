@@ -1,14 +1,16 @@
-"""Exception types shared by the solvers and the file formats."""
+"""Exception types shared by the solvers and the file formats.
+
+An error's ``stage`` is the solver stage that failed, or ``line N`` (from 1)
+of a refused file. Its type's ``exit_code`` is the CLI's exit status for it.
+"""
 
 import contextlib
 
 
 class SedSlamError(Exception):
-    """Base class for solver and file-format failures.
-
-    Multi-stage pipelines attach the failing stage name via ``stage`` so
-    callers can tell which step of a solve went wrong.
-    """
+    """Base class for solver and file-format failures; ``stage`` names the
+    solver stage or the file line where one arose."""
+    exit_code = 2
 
     def __init__(self, message, stage=None):
         super().__init__(message)
@@ -52,6 +54,7 @@ class TooFewDepthsError(SedSlamError):
 
 class InsufficientInliersError(SedSlamError):
     """Scale voting found too few inliers; retry with another candidate pair."""
+    exit_code = 3
 
 
 class TimestampCollisionError(SedSlamError):
@@ -60,11 +63,14 @@ class TimestampCollisionError(SedSlamError):
 
 class AssociationError(SedSlamError):
     """Too few timestamp-associated pose pairs between two trajectories."""
+    exit_code = 1
 
 
 class MatchFileError(SedSlamError):
     """Malformed two-view match file."""
+    exit_code = 1
 
 
 class TrajectoryFileError(SedSlamError):
     """Malformed trajectory file or depth sidecar."""
+    exit_code = 1

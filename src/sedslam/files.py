@@ -81,39 +81,31 @@ def _data_lines(lines):
 
 def _parse_match_lines(lines) -> AnchorMatchSet:
     """The match set of match-file ``lines``; errors name the first bad line, from 1."""
-    intr = {}
-    sizes = {}
-    rows = []
+    intr, sizes, rows = {}, {}, []
     for lineno, parts in _data_lines(lines):
-        if parts[0] == "intrinsics":
-            if len(parts) != 8:
-                raise MatchFileError(f"line {lineno}: intrinsics needs 7 values")
-            try:
+        try:
+            if parts[0] == "intrinsics":
+                if len(parts) != 8:
+                    raise ValueError("intrinsics needs 7 values")
                 fid = int(parts[1])
                 vals = [float(p) for p in parts[2:]]
-            except ValueError as exc:
-                raise MatchFileError(f"line {lineno}: {exc}") from exc
-            if fid not in (0, 1):
-                raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
-            if fid in intr:
-                raise MatchFileError(f"line {lineno}: duplicate intrinsics for frame {fid}")
-            try:
+                if fid not in (0, 1):
+                    raise ValueError("frame id must be 0 or 1")
+                if fid in intr:
+                    raise ValueError(f"duplicate intrinsics for frame {fid}")
                 intr[fid] = Intrinsics(*vals[:4])
                 sizes[fid] = _as_size(vals[4:])
-            except ValueError as exc:
-                raise MatchFileError(f"line {lineno}: {exc}") from exc
-            continue
-        if len(parts) != 6:
-            raise MatchFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        try:
+                continue
+            if len(parts) != 6:
+                raise ValueError(f"expected 6 fields, got {len(parts)}")
             fid = int(parts[0])
             ax, ay, mx, my, w = (float(p) for p in parts[1:])
+            if fid not in (0, 1):
+                raise ValueError("frame id must be 0 or 1")
+            if not 0.0 < w <= 1.0:
+                raise ValueError(f"weight {w} outside (0, 1]")
         except ValueError as exc:
-            raise MatchFileError(f"line {lineno}: {exc}") from exc
-        if fid not in (0, 1):
-            raise MatchFileError(f"line {lineno}: frame id must be 0 or 1")
-        if not 0.0 < w <= 1.0:
-            raise MatchFileError(f"line {lineno}: weight {w} outside (0, 1]")
+            raise MatchFileError(str(exc), f"line {lineno}") from exc
         rows.append((fid, lineno, ax, ay, mx, my, w))
     if 0 not in intr or 1 not in intr:
         raise MatchFileError("missing intrinsics header for frame 0 and/or 1")
@@ -121,9 +113,9 @@ def _parse_match_lines(lines) -> AnchorMatchSet:
     for fid, lineno, ax, ay, mx, my, _ in rows:
         (own_w, own_h), (other_w, other_h) = sizes[fid], sizes[1 - fid]
         if not (0.0 <= ax <= own_w and 0.0 <= ay <= own_h):
-            raise MatchFileError(f"line {lineno}: anchor ({ax}, {ay}) outside image bounds")
+            raise MatchFileError(f"anchor ({ax}, {ay}) outside image bounds", f"line {lineno}")
         if not (0.0 <= mx <= other_w and 0.0 <= my <= other_h):
-            raise MatchFileError(f"line {lineno}: match ({mx}, {my}) outside image bounds")
+            raise MatchFileError(f"match ({mx}, {my}) outside image bounds", f"line {lineno}")
     n0 = len(rows) - sum(r[0] for r in rows)
     t = np.array([r[2:] for r in rows], dtype=float).reshape(-1, 5)
     return AnchorMatchSet(t[:n0, 0:2], t[:n0, 2:4], t[:n0, 4], t[n0:, 0:2], t[n0:, 2:4], t[n0:, 4],
@@ -188,22 +180,22 @@ def _read_sidecar_lines(path) -> dict:
     per_key, keys = defaultdict(dict), {}  # {anchor id: depth} by key; key by stamp token
     with open(path) as fh:
         for n, fields in _data_lines(fh):
-            if len(fields) != 3:
-                raise TrajectoryFileError(f"line {n}: expected 3 fields")
             try:
+                if len(fields) != 3:
+                    raise ValueError("expected 3 fields")
                 key = keys.get(fields[0])
                 if key is None:
                     key = keys[fields[0]] = timestamp_key(float(fields[0]))
                 idx, depth = int(fields[1]), float(fields[2])
+                if not 0.0 < depth < math.inf:
+                    raise ValueError("depth must be finite and positive")
+                if not math.isfinite(key):  # a key is finite exactly when its stamp is
+                    raise ValueError("timestamp must be finite")
+                entries = per_key[key]
+                if idx in entries:
+                    raise ValueError(f"duplicate anchor id {idx}")
             except ValueError as exc:
-                raise TrajectoryFileError(f"line {n}: {exc}") from exc
-            if not 0.0 < depth < math.inf:
-                raise TrajectoryFileError(f"line {n}: depth must be finite and positive")
-            if not math.isfinite(key):  # a key is finite exactly when its stamp is
-                raise TrajectoryFileError(f"line {n}: timestamp must be finite")
-            entries = per_key[key]
-            if idx in entries:
-                raise TrajectoryFileError(f"line {n}: duplicate anchor id {idx}")
+                raise TrajectoryFileError(str(exc), f"line {n}") from exc
             entries[idx] = depth
     out = {}
     for key in list(per_key):  # each dict is freed once its array is built
@@ -250,14 +242,14 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
         rows = []  # the line reader, which decides every refusal
         with open(path) as fh:
             for n, fields in _data_lines(fh):
-                if len(fields) != 8:
-                    raise TrajectoryFileError(f"line {n}: expected 8 fields, got {len(fields)}")
                 try:
+                    if len(fields) != 8:
+                        raise ValueError(f"expected 8 fields, got {len(fields)}")
                     rows.append([float(f) for f in fields])
+                    if defect := _pose_defect(np.array(rows[-1:])):
+                        raise ValueError(defect)
                 except ValueError as exc:
-                    raise TrajectoryFileError(f"line {n}: {exc}") from exc
-                if defect := _pose_defect(np.array(rows[-1:])):
-                    raise TrajectoryFileError(f"line {n}: {defect}")
+                    raise TrajectoryFileError(str(exc), f"line {n}") from exc
         if not rows:
             raise TrajectoryFileError("trajectory file holds no poses")
         values = np.array(rows)

@@ -530,3 +530,83 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+
+# One case per place a reader refuses a line, mutated from `synth two-view --seed 1`
+# (two_view.txt) and `synth traj-pair --seed 3` (trajA.txt, trajA.depths): the file,
+# its line from 1, that line's new text, and the message `main` prints. Each exits 1.
+REFUSALS = {
+    "intrinsics-too-few": ("two_view.txt", 2, "intrinsics 0 256 256 256 256 512",
+                           "line 2: intrinsics needs 7 values"),
+    "intrinsics-unparsable": ("two_view.txt", 2, "intrinsics 0 256 256 x 256 512 512",
+                              "line 2: could not convert string to float: 'x'"),
+    "intrinsics-frame-id": ("two_view.txt", 3, "intrinsics 2 256 256 256 256 512 512",
+                            "line 3: frame id must be 0 or 1"),
+    "intrinsics-duplicate": ("two_view.txt", 3, "intrinsics 0 256 256 256 256 512 512",
+                             "line 3: duplicate intrinsics for frame 0"),
+    "intrinsics-focal": ("two_view.txt", 2, "intrinsics 0 0 256 256 256 512 512",
+                         "line 2: focal lengths must be positive"),
+    "intrinsics-size": ("two_view.txt", 3, "intrinsics 1 256 256 256 256 0 512",
+                        "line 3: image size must be finite and positive"),
+    "row-field-count": ("two_view.txt", 10, "0 323.85 146.62 334.63 133.51",
+                        "line 10: expected 6 fields, got 5"),
+    "row-unparsable": ("two_view.txt", 10, "0 323.85 146.62 334.63 133.51 one",
+                       "line 10: could not convert string to float: 'one'"),
+    "row-frame-id": ("two_view.txt", 10, "2 323.85 146.62 334.63 133.51 1",
+                     "line 10: frame id must be 0 or 1"),
+    "row-weight": ("two_view.txt", 10, "0 323.85 146.62 334.63 133.51 1.5",
+                   "line 10: weight 1.5 outside (0, 1]"),
+    "row-anchor-bounds": ("two_view.txt", 60, "1 600.5 54.64 99.30 141.15 1",
+                          "line 60: anchor (600.5, 54.64) outside image bounds"),
+    "row-match-bounds": ("two_view.txt", 11, "0 354.07 208.12 -1.5 224.13 1",
+                         "line 11: match (-1.5, 224.13) outside image bounds"),
+    "traj-field-count": ("trajA.txt", 3, "100.1 -4.98 0.24 -0.43 0.017 0.67 -0.016",
+                         "line 3: expected 8 fields, got 7"),
+    "traj-unparsable": ("trajA.txt", 3, "100.1 -4.98 0.24 -0.43 0.017 0.67 -0.016 0.7.3",
+                        "line 3: could not convert string to float: '0.7.3'"),
+    "traj-nan": ("trajA.txt", 4, "100.2 nan 0.2 -0.8 0.016 0.64 -0.013 0.76",
+                 "line 4: non-finite value"),
+    "traj-quaternion": ("trajA.txt", 4, "100.2 -4.9 0.2 -0.8 0 0 0 3",
+                        "line 4: quaternion norm 3.0 is not 1"),
+    "sidecar-field-count": ("trajA.depths", 5, "100.000000 3", "line 5: expected 3 fields"),
+    "sidecar-unparsable": ("trajA.depths", 5, "100.000000 three 4.7",
+                           "line 5: invalid literal for int() with base 10: 'three'"),
+    "sidecar-depth": ("trajA.depths", 5, "100.000000 3 -1",
+                      "line 5: depth must be finite and positive"),
+    "sidecar-stamp": ("trajA.depths", 5, "inf 3 4.7", "line 5: timestamp must be finite"),
+    "sidecar-duplicate-id": ("trajA.depths", 5, "100.000000 2 4.7",
+                             "line 5: duplicate anchor id 2"),
+    # Undecodable text is refused by the codec, which names a byte and no line.
+    "not-utf8": ("trajA.txt", 3, b"100.1 -4.98 \xff 0.24",
+                 "'utf-8' codec can't decode byte 0xff in position 143: invalid start byte"),
+}
+
+
+@pytest.fixture(scope="module")
+def refusal_sources(tmp_path_factory):
+    src = tmp_path_factory.mktemp("refusal-sources")
+    assert main(["synth", "two-view", "--seed", "1", "--out", str(src / "two_view.txt")]) == 0
+    assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(src)]) == 0
+    return src
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_line_prints_its_message_and_exits_1(case, refusal_sources, tmp_path, capsys):
+    name, lineno, text, message = REFUSALS[case]
+    lines = (refusal_sources / name).read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = (text if isinstance(text, bytes) else text.encode()) + b"\n"
+    (tmp_path / name).write_bytes(b"".join(lines))
+    path = {n: str(refusal_sources / n) for n in ("trajA.txt", "trajA.depths", "trajB.txt",
+                                                  "trajB.depths", "matches.txt")}
+    path[name] = str(tmp_path / name)
+    argv = {"two_view.txt": ["two-view", path[name]],
+            "trajA.txt": ["ate", path["trajA.txt"], path["trajB.txt"]],
+            "trajA.depths": ["join", path["trajA.txt"], path["trajB.txt"], path["matches.txt"],
+                             "--depths-a", path["trajA.depths"],
+                             "--depths-b", path["trajB.depths"], "--frame-a", "1",
+                             "--out", str(tmp_path / "merged.txt"),
+                             "--sim3-out", str(tmp_path / "sim3.json")]}[name]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

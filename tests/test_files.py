@@ -734,3 +734,23 @@ def test_match_file_round_trip(mset):
         assert np.array_equal(getattr(back, name), getattr(mset, name)), name
     assert (back.intrinsics0, back.intrinsics1) == (mset.intrinsics0, mset.intrinsics1)
     assert (back.size0, back.size1) == (mset.size0, mset.size1)
+
+
+@pytest.mark.parametrize("read, text, error, stage", [
+    (read_match_file, "intrinsics 0 1 1 0 0 2 2\n\nintrinsics 2 1 1 0 0 2 2\n",
+     MatchFileError, "line 3"),
+    (read_match_file, "intrinsics 0 1 1 0 0 2 2\n", MatchFileError, None),
+    (read_trajectory, "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n1 0 0 0 0 0 0 2\n",
+     TrajectoryFileError, "line 3"),
+    (read_trajectory, "1 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 1\n", TrajectoryFileError, None),
+    (read_depth_sidecar, "# t id depth\n0 0 1.0\n0 1 0.0\n", TrajectoryFileError, "line 3"),
+    (read_depth_sidecar, "0 1 1.0\n", TrajectoryFileError, None),
+], ids=["match-line", "match-file", "trajectory-line", "trajectory-file", "sidecar-line",
+        "sidecar-file"])
+def test_a_refused_line_is_the_stage_of_its_error(tmp_path, read, text, error, stage):
+    path = tmp_path / "refused.txt"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        read(str(path))
+    assert exc.value.stage == stage
+    assert str(exc.value) == (f"{stage}: " if stage else "") + exc.value.args[0]
