@@ -224,13 +224,13 @@ def read_depth_sidecar(path) -> dict:
 
 
 def _pose_defect(values):
-    """The defect of the first bad row of (n, 8) trajectory values, or None."""
-    if not np.isfinite(values).all():
-        return "non-finite value"
+    """(index, defect) of the first bad row of (n, 8) trajectory values, or None."""
     qx, qy, qz, qw = values[:, 4:].T
-    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    off = np.abs(norm - 1.0) > 1e-6
-    return f"quaternion norm {norm[off][0]} is not 1" if off.any() else None
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    finite = np.isfinite(values).all(axis=1)
+    for k in np.flatnonzero(~finite | (np.abs(norm - 1.0) > 1e-6))[:1].tolist():
+        return k, f"quaternion norm {norm[k]} is not 1" if finite[k] else "non-finite value"
 
 
 def read_trajectory(path, depth_path=None) -> Trajectory:
@@ -239,17 +239,24 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
     depths = read_depth_sidecar(depth_path) if depth_path else {}
     values = _c_rows(path, float, 2)
     if values is None or values.shape[1] != 8 or _pose_defect(values):
-        rows = []  # the line reader, which decides every refusal
-        with open(path) as fh:
-            for n, fields in _data_lines(fh):
-                try:
-                    if len(fields) != 8:
-                        raise ValueError(f"expected 8 fields, got {len(fields)}")
-                    rows.append([float(f) for f in fields])
-                    if defect := _pose_defect(np.array(rows[-1:])):
-                        raise ValueError(defect)
-                except ValueError as exc:
-                    raise TrajectoryFileError(str(exc), f"line {n}") from exc
+        rows, numbers, error = [], [], None  # the line reader, which decides every refusal
+        try:
+            with open(path) as fh:
+                for n, fields in _data_lines(fh):
+                    try:
+                        if len(fields) != 8:
+                            raise ValueError(f"expected 8 fields, got {len(fields)}")
+                        rows.append([float(f) for f in fields])
+                    except ValueError as exc:
+                        raise TrajectoryFileError(str(exc), f"line {n}") from exc
+                    numbers.append(n)
+        except (ValueError, TrajectoryFileError) as exc:  # an undecodable or unparsable line
+            error = exc
+        # The poses are checked at once: the first defective one wins over a later error.
+        if defect := _pose_defect(np.array(rows).reshape(-1, 8)):
+            raise TrajectoryFileError(defect[1], f"line {numbers[defect[0]]}")
+        if error:
+            raise error
         if not rows:
             raise TrajectoryFileError("trajectory file holds no poses")
         values = np.array(rows)

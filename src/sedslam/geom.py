@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * epipolar lines are homogeneous 3-vectors ``l`` satisfying
   ``l_x * x + l_y * y + l_z = 0`` in pixel coordinates;
 * depth of a point is its z-coordinate in the camera frame, so the point
-  of pixel ``a`` at depth d is ``d * K^-1 (a, 1)``.
+  of pixel ``a`` at depth d is ``d * K^-1 (a, 1)``;
+* points enter and leave as rows (n, k); per-match kernels work on them
+  component-major, (k, n), so each elementwise step runs over length-n rows.
 
 All types are immutable values and all operations are pure functions.
 Public constructors check their values; values a solve derives from checked
@@ -371,28 +373,27 @@ def triangulate_batch(pose, anchors, matches, k1: Intrinsics, k2: Intrinsics):
     poses = [pose] if single else pose
     rot = np.array([p.rotation for p in poses])
     t = np.array([p.translation_dir for p in poses])
-    # Camera 2 center in frame 1 is -Rᵀ t, so the center offset is Rᵀ t.
-    w0 = np.array([p.rotation.T @ p.translation_dir for p in poses])[:, :, None]
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    matches = np.atleast_2d(np.asarray(matches, dtype=float))
+    # Rays are component-major: u is (3, n), v and the midpoints (P, 3, n).
+    # Products over components are per-candidate matmuls, so a candidate rounds
+    # alike alone and in a batch. Camera 2 center in frame 1 is -Rᵀ t, so the
+    # center offset is Rᵀ t.
+    w0 = np.array([p.rotation.T @ p.translation_dir for p in poses])[:, None]
+    u = np.ascontiguousarray(calibrated_rays(np.atleast_2d(np.asarray(anchors, float)), k1).T)
+    u /= np.sqrt(np.sum(u * u, axis=0))
+    v = calibrated_rays(np.atleast_2d(np.asarray(matches, dtype=float)), k2).T
+    v = rot.transpose(0, 2, 1) @ v  # Rᵀ @ ray, the direction in frame 1
+    v /= np.sqrt(np.sum(v * v, axis=1, keepdims=True))
 
-    u = calibrated_rays(anchors, k1)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = calibrated_rays(matches, k2) @ rot  # rows become Rᵀ @ ray, the direction in frame 1
-    v /= np.linalg.norm(v, axis=2, keepdims=True)
-
-    b = np.sum(u * v, axis=2)
-    d = (u @ w0)[:, :, 0]
-    e = (v @ w0)[:, :, 0]
+    b = np.sum(u * v, axis=1)
+    d = (w0 @ u)[:, 0]
+    e = (w0 @ v)[:, 0]
     denom = 1.0 - b * b
     valid = np.sqrt(np.clip(denom, 0.0, None)) >= np.sin(MIN_RAY_ANGLE)
     denom = np.where(valid, denom, 1.0)
 
     s1 = (b * e - d) / denom
     s2 = (e - b * d) / denom
-    mid = 0.5 * (s1[:, :, None] * u + (-w0).transpose(0, 2, 1) + s2[:, :, None] * v)
-    depth1 = mid[:, :, 2]
-    depth2 = (mid @ rot[:, 2, :, None])[:, :, 0] + t[:, 2:]  # z-row of R @ mid + t
-    if single:
-        return depth1[0], depth2[0], valid[0]
-    return depth1, depth2, valid
+    mid = 0.5 * (s1[:, None] * u + (-w0).transpose(0, 2, 1) + s2[:, None] * v)
+    depth2 = (rot[:, 2:] @ mid)[:, 0] + t[:, 2:]  # z-row of R @ mid + t
+    out = mid[:, 2], depth2, valid
+    return tuple(a[0] for a in out) if single else out

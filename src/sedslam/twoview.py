@@ -10,7 +10,8 @@ Levenberg-Marquardt solver on the symmetric epipolar distance (SED)
 
 summed over both directions, where ``l_kj`` is the epipolar line of anchor
 ``a_k`` under the pose ``(exp(xi_R) R, exp(xi_t) t)``. Finally the matches
-are clamped onto their epipolar lines.
+are clamped onto their epipolar lines. Inside the solve the row table, lines,
+errors and Jacobians are component-major, one length-n row per component.
 """
 
 from __future__ import annotations
@@ -115,14 +116,13 @@ class AnchorMatchSet:
 
     @cached_property
     def _rows(self):
-        """Read-only SED row table, built on first use: per direction (frame-0 anchors
-        first) the anchor rays and match-frame K^-T, then all matches as rows (x, y, 1)
-        and sqrt weights."""
-        rows = ((calibrated_rays(self.anchors0, self.intrinsics0),
-                 calibrated_rays(self.anchors1, self.intrinsics1)),
+        """Read-only SED row table, built on first use and stored component-major: per
+        direction (frame-0 anchors first) the anchor rays (3, n_dir) and match-frame
+        K^-T, then all matches (2, n), a row of x and a row of y, and sqrt weights (n,)."""
+        rows = ((np.ascontiguousarray(calibrated_rays(self.anchors0, self.intrinsics0).T),
+                 np.ascontiguousarray(calibrated_rays(self.anchors1, self.intrinsics1).T)),
                 (self.intrinsics1.inv_matrix().T, self.intrinsics0.inv_matrix().T),
-                np.concatenate([np.concatenate([self.matches0, self.matches1]),
-                                np.ones((self.n_total, 1))], axis=1),
+                np.ascontiguousarray(np.concatenate([self.matches0, self.matches1]).T),
                 np.sqrt(np.concatenate([self.weights0, self.weights1])))
         for a in (*rows[0], *rows[1], *rows[2:]):
             a.flags.writeable = False
@@ -220,12 +220,7 @@ def decompose_essential(e) -> list[RelativePose]:
     """Four pose candidates [(t,R1), (t,R2), (-t,R1), (-t,R2)] of an
     essential matrix, via its SVD and the W/Z factor matrices."""
     u, _, vt = _finite_svd(np.asarray(e, dtype=float), "essential matrix")
-    r1 = u @ _W @ vt
-    if np.linalg.det(r1) < 0.0:
-        r1 = -r1
-    r2 = u @ _W.T @ vt
-    if np.linalg.det(r2) < 0.0:
-        r2 = -r2
+    r1, r2 = (-r if np.linalg.det(r) < 0.0 else r for r in (u @ _W @ vt, u @ _W.T @ vt))
     t = vee(u @ _Z @ u.T)
     t = t / _norm(t)
     return [_derived_pose(r1, t), _derived_pose(r2, t),
@@ -293,8 +288,6 @@ def select_by_chirality(candidates, mset: AnchorMatchSet):
 
 
 _GEN = skew(np.eye(3))  # so(3) generators
-_XY0 = np.array([1.0, 1.0, 0.0])
-_EYE_ROWS = np.eye(3)[:, None, :]
 
 
 def _epipolar(rot, t, mset: AnchorMatchSet):
@@ -302,25 +295,26 @@ def _epipolar(rot, t, mset: AnchorMatchSet):
 
     Frame-0 anchors use E = [t]x R and frame-1 anchors E = Rᵀ [t]x, the
     inverse pose's E up to a sign the error function is invariant to.
-    Returns (lines, d, zeta, good, err): the lines, l_x^2 + l_y^2 (1 on
-    degenerate lines), l . [m; 1], the non-degenerate mask and the errors.
+    Returns (lines, d, zeta, good, err): the lines (3, n), l_x^2 + l_y^2,
+    l . [m; 1], the non-degenerate mask and the errors (2, n). A degenerate
+    line is taken as zero, with d = 1, so its zeta and error are zero.
     """
-    rays, k_invt, m_xy1, _ = mset._rows
+    rays, k_invt, m_xy, _ = mset._rows
     tx = skew(t)
-    lines = np.concatenate([x @ (k @ e).T for x, k, e in zip(rays, k_invt, (tx @ rot, rot.T @ tx))])
-    lx, ly, lz = lines[:, 0], lines[:, 1], lines[:, 2]
-    d = lx * lx + ly * ly
+    lines = np.concatenate([k @ e @ x for x, k, e in zip(rays, k_invt, (tx @ rot, rot.T @ tx))],
+                           axis=1)
+    d = lines[0] * lines[0] + lines[1] * lines[1]
     good = d > LINE_EPS
+    lines = np.where(good, lines, 0.0)
     d = np.where(good, d, 1.0)
-    zeta = lx * m_xy1[:, 0] + ly * m_xy1[:, 1] + lz
-    err = (zeta / d)[:, None] * lines[:, :2]
-    return lines, d, zeta, good, err
+    zeta = lines[0] * m_xy[0] + lines[1] * m_xy[1] + lines[2]
+    return lines, d, zeta, good, zeta / d * lines[:2]
 
 
 class _SedTerms(NamedTuple):
     """What :func:`_evaluate` computed at a pose: the number of degenerate
-    rows, the :func:`_epipolar` arrays of every row and the residuals of the
-    non-degenerate rows, frame-0 anchors first."""
+    rows, the :func:`_epipolar` arrays of every row and the residuals (m, 2)
+    of the non-degenerate rows, frame-0 anchors first."""
 
     n_degenerate: int
     epipolar: tuple
@@ -331,45 +325,37 @@ def _evaluate(pose: RelativePose, mset: AnchorMatchSet):
     """SED cost at ``pose`` and the :class:`_SedTerms` it was summed from."""
     epi = _epipolar(pose.rotation, pose.translation_dir, mset)
     *_, good, err = epi
-    res = (mset._rows[3][:, None] * err)[good]
+    res = (mset._rows[3] * err)[:, good].T.copy()
     return float(np.sum(res * res)), _SedTerms(len(good) - int(np.count_nonzero(good)), epi, res)
 
 
 def _jacobian(pose: RelativePose, mset: AnchorMatchSet, epi):
-    """Jacobians (m, 2, 6) of the non-degenerate residuals w.r.t. the forward
-    update (xi_R, xi_t) at identity, from the epipolar arrays at ``pose``."""
+    """Jacobians (6, 2 n_dir) per direction, frame-0 anchors first, of every
+    row's residuals w.r.t. the forward update (xi_R, xi_t) at identity, from
+    the epipolar arrays at ``pose``; columns run over (residual, row), and
+    the rows of degenerate lines are zero."""
     rot, t = pose.rotation, pose.translation_dir
-    rays, k_invt, m_xy1, sw = mset._rows
-    lines, d, zeta, good, _ = epi
+    rays, k_invt, m_xy, sw = mset._rows
+    lines, d, zeta, _, _ = epi
 
-    # d err / d l, rows of shape (2, 3): entry (i, j) is
-    # -2 l_i l_j zeta / d^2 + l_i m_j / d, plus zeta / d where i = j, with
-    # l_2 = 0 and m_2 = 1.
-    n_rows = len(lines)
-    inv_d = 1.0 / d
-    inv_d2 = inv_d * inv_d
-    l_xy, l_xy0 = lines[:, :2, None], lines * _XY0
-    j_l = (-2.0 * l_xy * l_xy0[:, None] * zeta[:, None, None] * inv_d2[:, None, None]
-           + l_xy * m_xy1[:, None] * inv_d[:, None, None])
-    diag = zeta * inv_d
-    j_l[:, 0, 0] += diag
-    j_l[:, 1, 1] += diag
+    # sqrt(w) d err / d l as (3, 2, n), indexed (l component, residual, row):
+    # with c = zeta / d and v = ((m - 2 c l_xy) / d, 1 / d), d err / d l is the
+    # rank-one l_xy vᵀ plus c on the diagonal of its (2, 2) block.
+    c = zeta / d
+    j_l = (np.concatenate([(m_xy - 2.0 * c * lines[:2]) / d, (1.0 / d)[None]])[:, None]
+           * (sw * lines[:2]))
+    j_l[(0, 1), (0, 1)] += sw * c
 
     # K^-T d E / d xi of both directions, rotation first, then t: [t]x G R and
-    # -Rᵀ G [t]x for the rotation generators G, [G t]x R and Rᵀ [G t]x for t,
-    # where [e_p x t]x = t e_pᵀ - e_p tᵀ. Flattened, each direction's six
-    # matrices form a 9 x 6 matrix D, and since l = K^-T E x a row's Jacobian
-    # block is (d err / d l ⊗ x) D: one product per direction.
-    tx = skew(t)
-    te = t[:, None] * _EYE_ROWS
-    gt = te - te.transpose(0, 2, 1)
-    d_mat = np.concatenate([k_invt[0] @ np.concatenate([tx @ _GEN, gt]) @ rot,
-                            k_invt[1] @ rot.T @ np.concatenate([-_GEN @ tx, gt])])
-    d_mat = d_mat.reshape(2, 6, 9).transpose(0, 2, 1)
-    n0 = len(rays[0])
-    jac = np.concatenate([(j[:, :, :, None] * x[:, None, None, :]).reshape(-1, 9) @ dm
-                          for j, x, dm in zip((j_l[:n0], j_l[n0:]), rays, d_mat)])
-    return (sw[:, None, None] * jac.reshape(n_rows, 2, 6))[good]
+    # -Rᵀ G [t]x for the rotation generators G, [G t]x R and Rᵀ [G t]x for t.
+    # Flattened, each direction's six matrices form a 6 x 9 matrix D, and since
+    # l = K^-T E x a row's Jacobian is D (d err / d l ⊗ x): one product per direction.
+    tx, gt = skew(t), skew(_GEN @ t)
+    d_mat = (k_invt[0] @ np.concatenate([tx @ _GEN, gt]) @ rot,
+             k_invt[1] @ rot.T @ np.concatenate([-_GEN @ tx, gt]))
+    n0 = len(mset.anchors0)
+    return [dm.reshape(6, 9) @ (jl[:, None] * x[:, None]).reshape(9, -1)
+            for dm, jl, x in zip(d_mat, (j_l[:, :, :n0], j_l[:, :, n0:]), rays)]
 
 
 def sed_cost(pose: RelativePose, mset: AnchorMatchSet) -> float:
@@ -385,12 +371,16 @@ def sed_jacobian(pose: RelativePose, mset: AnchorMatchSet):
     each term folded in, frame-0 direction first.
     """
     terms = _evaluate(pose, mset)[1]
-    return terms.residuals, _jacobian(pose, mset, terms.epipolar)
+    jac = np.concatenate([j.reshape(6, 2, -1) for j in _jacobian(pose, mset, terms.epipolar)],
+                         axis=2)
+    return terms.residuals, jac[:, :, terms.epipolar[3]].transpose(2, 1, 0)
 
 
 def _normal_equations(pose: RelativePose, terms: _SedTerms, mset: AnchorMatchSet):
-    j = _jacobian(pose, mset, terms.epipolar).reshape(-1, 6)
-    return j.T @ j, j.T @ terms.residuals.reshape(-1)
+    """JᵀJ and Jᵀr summed over both directions; degenerate rows are zero in J and r."""
+    res, n0 = mset._rows[3] * terms.epipolar[4], len(mset.anchors0)
+    blocks = list(zip(_jacobian(pose, mset, terms.epipolar), (res[:, :n0], res[:, n0:])))
+    return sum(j @ j.T for j, _ in blocks), sum(j @ r.ravel() for j, r in blocks)
 
 
 def _damped_solve(system, lam):
@@ -429,11 +419,9 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
     Matches on degenerate lines are left unchanged. Clamping is a projection
     and therefore idempotent.
     """
-    rays, _, m_xy1, _ = mset._rows
-    *_, good, err = _epipolar(pose.rotation, pose.translation_dir, mset)
-    matches = m_xy1[:, :2]
-    new = np.where(good[:, None], matches - err, matches)
-    return _derived_set(mset, matches0=new[:len(rays[0])], matches1=new[len(rays[0]):])
+    err = _epipolar(pose.rotation, pose.translation_dir, mset)[4]
+    new = (mset._rows[2] - err).T.copy()  # m - (+0) == m on degenerate lines
+    return _derived_set(mset, matches0=new[:len(mset.anchors0)], matches1=new[len(mset.anchors0):])
 
 
 def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:

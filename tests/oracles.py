@@ -14,8 +14,8 @@ import numpy as np
 from sedslam.ba import _observations, _project, _state
 from sedslam.errors import (BehindCameraError, SedSlamError, TimestampCollisionError,
                             TrajectoryFileError)
-from sedslam.geom import (LINE_EPS, SMALL_ANGLE, Intrinsics, RelativePose, Se3Pose, project,
-                          rotation_angle, skew, triangulate_batch)
+from sedslam.geom import (LINE_EPS, MIN_RAY_ANGLE, SMALL_ANGLE, Intrinsics, RelativePose, Se3Pose,
+                          calibrated_rays, project, rotation_angle, skew, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
 from sedslam.twoview import _epipolar
 
@@ -93,6 +93,40 @@ def triangulate(pose: RelativePose, a, m, k1: Intrinsics, k2: Intrinsics) -> flo
     return float(depth1[0])
 
 
+def triangulate_rows(pose, anchors, matches, k1: Intrinsics, k2: Intrinsics):
+    """Midpoint triangulation on row-major rays, (n, 3) and (P, n, 3): the
+    library's :func:`~sedslam.geom.triangulate_batch`, with its outputs, as
+    it was before it moved to component-major (3, P, n) arrays."""
+    single = isinstance(pose, RelativePose)
+    poses = [pose] if single else pose
+    rot = np.array([p.rotation for p in poses])
+    t = np.array([p.translation_dir for p in poses])
+    w0 = np.array([p.rotation.T @ p.translation_dir for p in poses])[:, :, None]
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    matches = np.atleast_2d(np.asarray(matches, dtype=float))
+
+    u = calibrated_rays(anchors, k1)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = calibrated_rays(matches, k2) @ rot  # rows become Rᵀ @ ray, the direction in frame 1
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+
+    b = np.sum(u * v, axis=2)
+    d = (u @ w0)[:, :, 0]
+    e = (v @ w0)[:, :, 0]
+    denom = 1.0 - b * b
+    valid = np.sqrt(np.clip(denom, 0.0, None)) >= np.sin(MIN_RAY_ANGLE)
+    denom = np.where(valid, denom, 1.0)
+
+    s1 = (b * e - d) / denom
+    s2 = (e - b * d) / denom
+    mid = 0.5 * (s1[:, :, None] * u + (-w0).transpose(0, 2, 1) + s2[:, :, None] * v)
+    depth1 = mid[:, :, 2]
+    depth2 = (mid @ rot[:, 2, :, None])[:, :, 0] + t[:, 2:]  # z-row of R @ mid + t
+    if single:
+        return depth1[0], depth2[0], valid[0]
+    return depth1, depth2, valid
+
+
 _GEN = [skew(e) for e in np.eye(3)]  # so(3) generators
 
 
@@ -102,11 +136,11 @@ def sed_jacobian_einsum(pose: RelativePose, mset):
     rot, t = pose.rotation, pose.translation_dir
     rays, k_invt, matches, sw = mset._rows
     lines, d, zeta, good, err = _epipolar(rot, t, mset)
-    lx, ly = lines[:, 0], lines[:, 1]
-    mx, my = matches[:, 0], matches[:, 1]
+    lx, ly = lines[0], lines[1]
+    mx, my = matches[0], matches[1]
     inv_d = 1.0 / d
     inv_d2 = inv_d * inv_d
-    j_l = np.empty((len(lines), 2, 3))
+    j_l = np.empty((len(lx), 2, 3))
     j_l[:, 0, 0] = -2.0 * lx * lx * zeta * inv_d2 + lx * mx * inv_d + zeta * inv_d
     j_l[:, 0, 1] = -2.0 * lx * ly * zeta * inv_d2 + lx * my * inv_d
     j_l[:, 0, 2] = lx * inv_d
@@ -119,10 +153,10 @@ def sed_jacobian_einsum(pose: RelativePose, mset):
         gt_vec = skew(gen @ t)
         d_e[:, p] = tx @ gen @ rot, -rot.T @ gen @ tx
         d_e[:, 3 + p] = gt_vec @ rot, rot.T @ gt_vec
-    d_lines = np.concatenate([np.einsum("pij,nj->npi", k @ de, x)
+    d_lines = np.concatenate([np.einsum("pij,jn->npi", k @ de, x)
                               for x, k, de in zip(rays, k_invt, d_e)])
     jac = np.einsum("nij,npj->nip", j_l, d_lines)
-    return (sw[:, None] * err)[good], (sw[:, None, None] * jac)[good]
+    return (sw * err).T[good], (sw[:, None, None] * jac)[good]
 
 
 def reprojection_residual(graph, edge_index: int, k: int) -> np.ndarray:

@@ -754,3 +754,28 @@ def test_a_refused_line_is_the_stage_of_its_error(tmp_path, read, text, error, s
         read(str(path))
     assert exc.value.stage == stage
     assert str(exc.value) == (f"{stage}: " if stage else "") + exc.value.args[0]
+
+
+# A pose with quaternion norm 2 on line 3, then a later refusal: the poses are
+# checked together after the lines are read, and the defective one still wins.
+# The 0xff byte sits beyond the text reader's first 8 KiB chunk.
+_GOOD_POSE = "{} 0 0 0 0 0 0 1\n"
+
+
+@pytest.mark.parametrize("later", [
+    b"9 0 0 0 0 0 0\n",
+    b"9 0 0 0 0 0 0 x\n",
+    b"9 0 0 0 0 0 nan 1\n",
+    b"# pad\n" * 2000 + b"9 0 0 \xff 0 0 0 1\n",
+], ids=["field-count", "unparsable", "non-finite", "undecodable"])
+def test_first_defective_pose_wins_over_a_later_refusal(tmp_path, later):
+    text = (_GOOD_POSE.format(1) + "# comment\n" + "2 0 0 0 0 0 0 2\n"
+            + _GOOD_POSE.format(3)).encode() + later
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_trajectory(str(path))
+    assert str(exc.value) == "line 3: quaternion norm 2.0 is not 1"
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_trajectory_lines(str(path))
+    assert str(exc.value) == "line 3: quaternion norm 2.0 is not 1"

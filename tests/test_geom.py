@@ -8,7 +8,7 @@ from oracles import (DegenerateLineError, ParallelRaysError, backproject, epipol
                      essential_from_pose, fundamental_from_essential, is_degenerate_line,
                      point_line_error, quat_from_rotation_scalar, rotation_angle_arccos,
                      rotation_from_quat_scalar, rotation_rejection, skew_scalar, so3_exp_scalar,
-                     triangulate)
+                     triangulate, triangulate_rows)
 
 from sedslam.errors import BehindCameraError
 from sedslam.geom import (
@@ -16,6 +16,7 @@ from sedslam.geom import (
     RelativePose,
     Se3Pose,
     Sim3Transform,
+    calibrated_rays,
     project,
     quat_from_rotation,
     rotation_angle,
@@ -23,6 +24,7 @@ from sedslam.geom import (
     skew,
     so3_exp,
     so3_log,
+    triangulate_batch,
 )
 
 K_IDENT = Intrinsics(1.0, 1.0, 0.0, 0.0)
@@ -213,6 +215,49 @@ class TestTriangulate:
         pose = RelativePose(np.eye(3), [0.0, 0.0, 1.0])
         with pytest.raises(ParallelRaysError):
             triangulate(pose, [0.3, 0.1], [0.3, 0.1], K_IDENT, K_IDENT)
+
+
+@st.composite
+def _triangulation_case(draw):
+    """1-6 candidate poses, random calibrations and pixel pairs; half the
+    matches, where finite, image a far point of their anchor's ray under the
+    first pose, so that many valid rays are nearly parallel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cams = [Intrinsics(*rng.uniform(100, 600, 2), *rng.uniform(200, 300, 2)) for _ in range(2)]
+    poses = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = rng.normal(size=3)
+        angle = draw(st.sampled_from([1e-3, 0.3, 1.0]))
+        poses.append(RelativePose(so3_exp(angle * rng.normal(size=3)), t / np.linalg.norm(t)))
+    n = draw(st.integers(1, 30))
+    anchors = rng.uniform(0, 512, (n, 2))
+    far = calibrated_rays(anchors, cams[0]) * rng.uniform(1e2, 1e5, (n, 1))
+    q = (far @ poses[0].rotation.T + poses[0].translation_dir) @ cams[1].matrix().T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        imaged = q[:, :2] / q[:, 2:]
+    use = (q[:, 2] > 0.0) & np.isfinite(imaged).all(axis=1) & (rng.uniform(size=n) < 0.5)
+    return poses, anchors, np.where(use[:, None], imaged, rng.uniform(0, 512, (n, 2))), cams
+
+
+# Measured on 20,000 such cases (1.0e6 pairs, 5.0e4 of them valid with
+# 1 - cos^2 below 1e-4): masks equal, and depth differences at most 4.5e-16
+# of max(1, |depth|) / (1 - cos^2 of the ray angle); the row-major sums round
+# apart from the component-major ones by up to 1.9e-9 of max(1, |depth|).
+@settings(max_examples=300)
+@given(case=_triangulation_case())
+def test_triangulation_equals_row_major_oracle(case):
+    poses, anchors, matches, cams = case
+    depth1, depth2, valid = triangulate_batch(poses, anchors, matches, *cams)
+    ref1, ref2, ref_valid = triangulate_rows(poses, anchors, matches, *cams)
+    assert depth1.shape == depth2.shape == valid.shape == (len(poses), len(anchors))
+    assert np.array_equal(valid, ref_valid)
+    u = calibrated_rays(anchors, cams[0])
+    for k, pose in enumerate(poses):
+        v = calibrated_rays(matches, cams[1]) @ pose.rotation
+        cos = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        sine2 = np.maximum(1.0 - cos * cos, 1e-300)
+        for got, ref in ((depth1[k], ref1[k]), (depth2[k], ref2[k])):
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)) / sine2)
 
 
 class TestPoseTypes:
