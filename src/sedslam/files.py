@@ -1,5 +1,5 @@
-"""Line-oriented text formats: two-view match files, TUM trajectories and
-per-keyframe depth sidecars.
+"""File formats: match files and TUM trajectories as text, depth sidecars
+as numpy ``.npz`` archives.
 
 Match file layout (``#`` comments and blank lines are ignored)::
 
@@ -9,32 +9,23 @@ Match file layout (``#`` comments and blank lines are ignored)::
     ...
 
 Trajectories use the TUM convention ``timestamp tx ty tz qx qy qz qw``
-(world-from-camera); the optional depth sidecar holds lines
-``timestamp anchor_id depth`` where anchor ids are contiguous from 0 per
-timestamp and row order pairs them with the match-file rows of that frame.
-Every sidecar timestamp must match a pose, and timestamps are written and
-compared at ``sim3.TIMESTAMP_DECIMALS`` decimals. Trajectories are read into
-and written from the columns of :class:`~sedslam.sim3.Trajectory`, with no
-keyframe object per pose.
-
-numpy's C text reader parses trajectory and sidecar rows after the leading
-blank and comment lines and keeps what passes array checks: finite poses with
-unit quaternions, and sidecars in the writers' layout (one run of rows per
-timestamp key, ids 0..n-1, finite positive depths). Any other file is read
-again by a line reader: a refused or defective one, shuffled sidecar rows, a
-key split across runs or stamps equal at 6 decimals, a ``#`` line mid-file,
-an id ``1_0`` or beyond int64. It decides every error, the first defective
-line's, holding one dict entry per sidecar row (100,000 shuffled rows peak at
-3.5x the memory of the same rows in order) or one list of values per pose.
+(world-from-camera), read into and written from the columns of
+:class:`~sedslam.sim3.Trajectory`. A depth sidecar holds three 1-d arrays:
+``timestamps`` (float64, increasing), ``counts`` (int64, depths per keyframe)
+and ``depths`` (float64, keyframe after keyframe, each in match-file row
+order), recognized by the zip magic bytes; any other file is read as a text
+sidecar, lines ``timestamp anchor_id depth`` with ids contiguous from 0 per
+timestamp. Every sidecar timestamp must match a pose, at
+``sim3.TIMESTAMP_DECIMALS`` decimals. Each text format has one line reader,
+and the first defective line decides its error.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import warnings
 from collections import defaultdict
-from itertools import chain, dropwhile, repeat
 
 import numpy as np
 
@@ -124,9 +115,8 @@ def _parse_match_lines(lines) -> AnchorMatchSet:
 
 def _check_stamps(traj: Trajectory) -> None:
     """Raise ``ValueError`` if two keyframe timestamps print alike."""
-    alike = np.flatnonzero(np.diff(traj.timestamp_keys) == 0.0)
-    if alike.size:
-        a, b = traj.timestamps[alike[0]:alike[0] + 2].tolist()
+    for k in np.flatnonzero(np.diff(traj.timestamp_keys) == 0.0)[:1].tolist():
+        a, b = traj.timestamps[k:k + 2].tolist()
         raise ValueError(f"timestamps {a!r} and {b!r} both print as {a:.{TIMESTAMP_DECIMALS}f}")
 
 
@@ -144,48 +134,26 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def write_depth_sidecar(path, traj: Trajectory) -> None:
-    """Write the depths of ``traj`` at 9 decimals; timestamps that print
-    alike, or a depth printed as 0, raise before opening."""
+    """Write the depths of ``traj`` as an ``.npz`` archive, built in memory because
+    ``np.savez`` appends ``.npz`` to a path; stamps that print alike raise first."""
     _check_stamps(traj)
-    offsets, depths = traj.depth_offsets, traj.depths
-    # Only a depth below 1e-9 can print as 0; the first is in the first such keyframe.
-    for k in np.flatnonzero(depths < 1e-9).tolist():
-        if f"{depths[k]:.9f}" == "0.000000000":
-            row = int(np.searchsorted(offsets, k, side="right")) - 1
-            raise ValueError(f"depth {depths[offsets[row]:offsets[row + 1]].min()} at timestamp "
-                             f"{traj.timestamps[row]:.{TIMESTAMP_DECIMALS}f} prints as 0.000000000")
-    counts = np.diff(offsets).tolist()
-    stamps = (f"{t:.{TIMESTAMP_DECIMALS}f}" for t in traj.timestamps.tolist())
-    with open(path, "w") as fh:
-        fh.write("# timestamp anchor_id depth\n")
-        fh.writelines(map("{} {} {:.9f}\n".format, chain.from_iterable(map(repeat, stamps, counts)),
-                          chain.from_iterable(map(range, counts)), depths.tolist()))
-
-
-def _c_rows(path, dtype, ndmin):
-    """The rows of ``path`` by numpy's C text reader, or None if it refuses
-    them or warns (on no rows; numpy 1.23-1.25 on an int written "2.0")."""
-    with open(path) as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(dropwhile(lambda s: s.strip()[:1] in ("", "#"), fh), dtype,
-                              comments=None, ndmin=ndmin)
-        except (ValueError, Warning):
-            return None
+    archive = io.BytesIO()
+    np.savez(archive, timestamps=traj.timestamps,
+             counts=np.diff(traj.depth_offsets).astype(np.int64), depths=traj.depths)
+    with open(path, "wb") as fh:
+        fh.write(archive.getbuffer())
 
 
 def _read_sidecar_lines(path) -> dict:
-    """``read_depth_sidecar`` one line at a time; the first defective line, else
+    """``read_depth_sidecar`` of a text sidecar; the first defective line, else
     the first timestamp whose ids are not contiguous from 0, decides the error."""
-    per_key, keys = defaultdict(dict), {}  # {anchor id: depth} by key; key by stamp token
+    per_key = defaultdict(dict)  # {anchor id: depth} by timestamp key
     with open(path) as fh:
         for n, fields in _data_lines(fh):
             try:
                 if len(fields) != 3:
                     raise ValueError("expected 3 fields")
-                key = keys.get(fields[0])
-                if key is None:
-                    key = keys[fields[0]] = timestamp_key(float(fields[0]))
+                key = timestamp_key(float(fields[0]))
                 idx, depth = int(fields[1]), float(fields[2])
                 if not 0.0 < depth < math.inf:
                     raise ValueError("depth must be finite and positive")
@@ -208,62 +176,78 @@ def _read_sidecar_lines(path) -> dict:
     return out
 
 
+# The arrays of a sidecar archive, in order, with their dtypes; each is 1-d.
+_SIDECAR_ARRAYS = {"timestamps": np.float64, "counts": np.int64, "depths": np.float64}
+
+
 def read_depth_sidecar(path) -> dict:
-    """Depth arrays by timestamp key, in order of first appearance: the C
-    reader's rows if they have the writers' layout, else the line reader's."""
-    rows = _c_rows(path, [("t", float), ("i", np.int64), ("d", float)], 1)
-    if rows is not None:
-        t, ids, d = rows["t"], rows["i"], rows["d"]
-        starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
-        keys = [timestamp_key(s) for s in t[starts].tolist()]
-        run_ids = np.arange(len(t)) - np.repeat(starts, np.diff(starts, append=len(t)))
-        if (len(set(keys)) == len(keys) and np.array_equal(ids, run_ids)
-                and np.isfinite(t).all() and np.all((d > 0.0) & (d < math.inf))):
-            return dict(zip(keys, np.split(d, starts[1:])))
-    return _read_sidecar_lines(path)
+    """Depth arrays by timestamp key, in order of first appearance, none empty: the
+    writer's archive, recognized by the zip magic bytes, else the text sidecar's lines."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            return _read_sidecar_lines(path)
+        fh.seek(0)
+        try:  # a member that is not .npy reads as bytes, a 0-d array here
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = [np.asarray(archive[name]) for name in _SIDECAR_ARRAYS]
+        except Exception as exc:  # corrupt bytes raise BadZipFile, KeyError, EOFError, ...
+            raise TrajectoryFileError(f"depth sidecar archive is unreadable: {exc!r}") from exc
+    for (name, dtype), a in zip(_SIDECAR_ARRAYS.items(), arrays):
+        if a.dtype != dtype or a.ndim != 1:
+            raise TrajectoryFileError(f"depth sidecar array {name!r} must be 1-d "
+                                      f"{np.dtype(dtype)}, got {a.ndim}-d {a.dtype}")
+    stamps, counts, depths = arrays
+    listed = counts.tolist()  # Python ints, whose sum cannot wrap
+    if len(counts) != len(stamps) or min(listed, default=0) < 0 or sum(listed) != len(depths):
+        raise TrajectoryFileError(
+            f"depth counts must be {len(stamps)} non-negative integers summing to {len(depths)}, "
+            f"got {len(counts)} summing to {sum(listed)}, least {min(listed, default=0)}")
+    ts, offsets = stamps.tolist(), np.cumsum([0] + listed).tolist()
+    for k in np.flatnonzero(~np.isfinite(stamps))[:1].tolist():
+        raise TrajectoryFileError(f"timestamp {ts[k]} must be finite")
+    for k in np.flatnonzero(~((depths > 0.0) & (depths < math.inf)))[:1].tolist():
+        t = ts[np.searchsorted(offsets, k, side="right") - 1]
+        raise TrajectoryFileError(f"depth {depths[k]} at timestamp {t} must be finite and positive")
+    keys = [timestamp_key(t) for t in ts]
+    if any(b <= a for a, b in zip(keys, keys[1:])):
+        raise TrajectoryFileError(
+            f"timestamps must be strictly increasing at {TIMESTAMP_DECIMALS} decimals")
+    return {key: depths[lo:hi] for key, lo, hi in zip(keys, offsets, offsets[1:]) if hi > lo}
 
 
-def _pose_defect(values):
-    """(index, defect) of the first bad row of (n, 8) trajectory values, or None."""
+def read_trajectory(path, depth_path=None) -> Trajectory:
+    """TUM trajectory with the depths of its optional sidecar. The first
+    defective pose, else the first refused line, decides the error."""
+    depths = read_depth_sidecar(depth_path) if depth_path else {}
+    rows, numbers, error = [], [], None
+    try:
+        with open(path) as fh:
+            for n, fields in _data_lines(fh):
+                try:
+                    if len(fields) != 8:
+                        raise ValueError(f"expected 8 fields, got {len(fields)}")
+                    rows.append([float(f) for f in fields])
+                except ValueError as exc:
+                    raise TrajectoryFileError(str(exc), f"line {n}") from exc
+                numbers.append(n)
+    except (ValueError, TrajectoryFileError) as exc:  # an undecodable or unparsable line
+        error = exc
+    values = np.array(rows).reshape(-1, 8)
     qx, qy, qz, qw = values[:, 4:].T
     with np.errstate(over="ignore"):
         norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
     finite = np.isfinite(values).all(axis=1)
+    # The poses are checked at once: the first defective one wins over a later error.
     for k in np.flatnonzero(~finite | (np.abs(norm - 1.0) > 1e-6))[:1].tolist():
-        return k, f"quaternion norm {norm[k]} is not 1" if finite[k] else "non-finite value"
-
-
-def read_trajectory(path, depth_path=None) -> Trajectory:
-    """TUM trajectory with the depths of its optional sidecar; the C
-    reader's rows if they pass the checks, else the line reader's."""
-    depths = read_depth_sidecar(depth_path) if depth_path else {}
-    values = _c_rows(path, float, 2)
-    if values is None or values.shape[1] != 8 or _pose_defect(values):
-        rows, numbers, error = [], [], None  # the line reader, which decides every refusal
-        try:
-            with open(path) as fh:
-                for n, fields in _data_lines(fh):
-                    try:
-                        if len(fields) != 8:
-                            raise ValueError(f"expected 8 fields, got {len(fields)}")
-                        rows.append([float(f) for f in fields])
-                    except ValueError as exc:
-                        raise TrajectoryFileError(str(exc), f"line {n}") from exc
-                    numbers.append(n)
-        except (ValueError, TrajectoryFileError) as exc:  # an undecodable or unparsable line
-            error = exc
-        # The poses are checked at once: the first defective one wins over a later error.
-        if defect := _pose_defect(np.array(rows).reshape(-1, 8)):
-            raise TrajectoryFileError(defect[1], f"line {numbers[defect[0]]}")
-        if error:
-            raise error
-        if not rows:
-            raise TrajectoryFileError("trajectory file holds no poses")
-        values = np.array(rows)
+        raise TrajectoryFileError(f"quaternion norm {norm[k]} is not 1" if finite[k]
+                                  else "non-finite value", f"line {numbers[k]}")
+    if error:
+        raise error
+    if not rows:
+        raise TrajectoryFileError("trajectory file holds no poses")
     keys = [timestamp_key(t) for t in values[:, 0].tolist()]
     posed = set(keys)
-    orphans = [k for k in depths if k not in posed]
-    if orphans:
+    if orphans := [k for k in depths if k not in posed]:
         raise TrajectoryFileError(
             f"{sum(len(depths[k]) for k in orphans)} depth-sidecar rows match no pose "
             f"timestamp (first: {orphans[0]:.{TIMESTAMP_DECIMALS}f})")
@@ -280,12 +264,8 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
 
 
 def sim3_to_dict(sim3) -> dict:
-    q = quat_from_rotation(sim3.rotation)
-    return {
-        "scale": sim3.scale,
-        "rotation_quat_xyzw": [float(v) for v in q],
-        "translation": [float(v) for v in sim3.translation],
-    }
+    return {"scale": sim3.scale, "rotation_quat_xyzw": quat_from_rotation(sim3.rotation).tolist(),
+            "translation": sim3.translation.tolist()}
 
 
 def write_json(path, payload: dict) -> None:

@@ -1,14 +1,24 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sedslam
+from sedslam import synth
 from sedslam.cli import build_parser, main
-from sedslam.files import read_match_file, write_depth_sidecar, write_match_file, write_trajectory
+from sedslam.files import (
+    read_depth_sidecar,
+    read_match_file,
+    write_depth_sidecar,
+    write_match_file,
+    write_trajectory,
+)
 from sedslam.geom import RelativePose, Se3Pose, Sim3Transform, rotation_from_quat, so3_exp
 from sedslam.metrics import pose_error
 from sedslam.sim3 import Keyframe, Trajectory
@@ -28,6 +38,16 @@ def reported_pose(vals):
     q = np.array([float(v) for v in vals["rotation_quat_xyzw"].split()])
     t = np.array([float(v) for v in vals["translation_dir"].split()])
     return RelativePose(rotation_from_quat(q), t / np.linalg.norm(t))
+
+
+def sidecar_as_text(path):
+    """Rewrite the depth sidecar at ``path`` as text, one line per depth after a
+    header line, with the same depths, so that a test can edit its lines."""
+    lines = ["# timestamp anchor_id depth"]
+    for key, depths in read_depth_sidecar(path).items():
+        lines += [f"{key:.6f} {i} {d!r}" for i, d in enumerate(depths.tolist())]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_join_fixture(tmp_path, seed=3, sim3=None, shuffle_matches=False):
@@ -187,6 +207,7 @@ class TestJoinCommand:
 
     def test_orphan_sidecar_rows_exit_1(self, tmp_path, capsys):
         pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
+        sidecar_as_text(paths["trajB_d"])
         with open(paths["trajB_d"], "a") as fh:
             fh.write("99999.5 0 1.0\n")
         code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
@@ -202,6 +223,7 @@ class TestJoinCommand:
         frame, traj = (fa, pair.traj_a) if side == "A" else (fb, pair.traj_b)
         stamp = f"{traj.keyframes[frame].timestamp:.6f}"
         sidecar = tmp_path / f"traj{side}.depths"
+        sidecar_as_text(sidecar)
         rows = sidecar.read_text().splitlines(keepends=True)
         mine = [i for i, row in enumerate(rows) if row.split()[0] == stamp]
         del rows[mine[-1]]  # the frame's highest anchor id
@@ -234,6 +256,7 @@ class TestJoinCommand:
         assert main(["synth", "traj-pair", "--seed", "1", "--out-dir", str(tp)]) == 0
         gt = json.loads((tp / "gt.json").read_text())
         # Trajectory B retimed onto trajectory A's stamps: 200.x becomes 100.x.
+        sidecar_as_text(tp / "trajB.depths")
         for name in ("trajB.txt", "trajB.depths"):
             (tp / name).write_text((tp / name).read_text().replace("\n200.", "\n100."))
 
@@ -442,20 +465,39 @@ class TestSynthCommand:
                      "matches.txt", "gt.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_traj_pair_with_depths_printed_as_zero_exits_1(self, tmp_path, capsys):
-        # At scale 1e12 trajectory b's depths are about 1e-12.
+    # Depths scale as 1 / S, to about 1e-12 at S = 1e12; they read back bit for bit.
+    @pytest.mark.parametrize("scale", ["1e-6", "1e4", "1e8", "1e12"])
+    def test_traj_pair_join_recovers_the_scale(self, tmp_path, capsys, scale):
         d = tmp_path / "p"
-        assert main(["synth", "traj-pair", "--seed", "3", "--scale", "1e12",
-                     "--out-dir", str(d)]) == 1
-        assert "prints as 0.000000000" in capsys.readouterr().err
-        assert not (d / "trajB.depths").exists()
+        assert main(["synth", "traj-pair", "--seed", "3", "--scale", scale,
+                     "--out-dir", str(d)]) == 0
+        gt = json.loads((d / "gt.json").read_text())
+        assert main(["join", str(d / "trajA.txt"), str(d / "trajB.txt"), str(d / "matches.txt"),
+                     "--depths-a", str(d / "trajA.depths"), "--depths-b", str(d / "trajB.depths"),
+                     "--frame-a", str(gt["frame_a"]), "--frame-b", str(gt["frame_b"]),
+                     "--out", str(tmp_path / "merged.txt"),
+                     "--sim3-out", str(tmp_path / "s.json")]) == 0
+        estimated = json.loads((tmp_path / "s.json").read_text())["scale"]
+        assert abs(estimated / float(scale) - 1.0) < 1e-10
 
-    def test_traj_pair_refused_fixture_leaves_no_fixture_files(self, tmp_path, capsys):
-        # trajB.depths is refused; the fixtures before it must not be written either.
+    def test_traj_pair_refused_fixture_leaves_no_fixture_files(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # Trajectory b's first two stamps print alike, so trajB.txt is refused;
+        # the fixtures before it must not be written either.
+        make_pair = synth.make_trajectory_pair
+
+        def colliding(*args, **kwargs):
+            pair = make_pair(*args, **kwargs)
+            b = pair.traj_b
+            stamps = b.timestamps.copy()
+            stamps[1] = stamps[0] + 1e-7
+            return replace(pair, traj_b=Trajectory.from_columns(
+                stamps, b.rotations, b.translations, b.depths, b.depth_offsets))
+
+        monkeypatch.setattr("sedslam.synth.make_trajectory_pair", colliding)
         d = tmp_path / "p"
-        assert main(["synth", "traj-pair", "--seed", "3", "--scale", "1e12",
-                     "--out-dir", str(d)]) == 1
-        assert "prints as 0.000000000" in capsys.readouterr().err
+        assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(d)]) == 1
+        assert "both print as 200.000000" in capsys.readouterr().err
         assert not d.exists()
 
     def test_traj_pair_with_one_frame_exits_1(self, tmp_path, capsys):
@@ -534,8 +576,9 @@ class TestParserReuse:
 
 
 # One case per place a reader refuses a line, mutated from `synth two-view --seed 1`
-# (two_view.txt) and `synth traj-pair --seed 3` (trajA.txt, trajA.depths): the file,
-# its line from 1, that line's new text, and the message `main` prints. Each exits 1.
+# (two_view.txt) and `synth traj-pair --seed 3` (trajA.txt, and trajA.depths
+# rewritten as text): the file, its line from 1, that line's new text, and the
+# message `main` prints. Each exits 1.
 REFUSALS = {
     "intrinsics-too-few": ("two_view.txt", 2, "intrinsics 0 256 256 256 256 512",
                            "line 2: intrinsics needs 7 values"),
@@ -588,6 +631,7 @@ def refusal_sources(tmp_path_factory):
     src = tmp_path_factory.mktemp("refusal-sources")
     assert main(["synth", "two-view", "--seed", "1", "--out", str(src / "two_view.txt")]) == 0
     assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(src)]) == 0
+    sidecar_as_text(src / "trajA.depths")
     return src
 
 
@@ -602,11 +646,90 @@ def test_refused_line_prints_its_message_and_exits_1(case, refusal_sources, tmp_
     path[name] = str(tmp_path / name)
     argv = {"two_view.txt": ["two-view", path[name]],
             "trajA.txt": ["ate", path["trajA.txt"], path["trajB.txt"]],
-            "trajA.depths": ["join", path["trajA.txt"], path["trajB.txt"], path["matches.txt"],
-                             "--depths-a", path["trajA.depths"],
-                             "--depths-b", path["trajB.depths"], "--frame-a", "1",
-                             "--out", str(tmp_path / "merged.txt"),
-                             "--sim3-out", str(tmp_path / "sim3.json")]}[name]
+            "trajA.depths": _join_argv(path, tmp_path)}[name]
     capsys.readouterr()
     assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _join_argv(path, out):
+    return ["join", path["trajA.txt"], path["trajB.txt"], path["matches.txt"],
+            "--depths-a", path["trajA.depths"], "--depths-b", path["trajB.depths"],
+            "--frame-a", "1", "--out", str(out / "merged.txt"),
+            "--sim3-out", str(out / "sim3.json")]
+
+
+def _archive(timestamps, counts, depths, drop=None):
+    """The bytes of a sidecar archive of these arrays, without array ``drop``."""
+    arrays = {"timestamps": timestamps, "counts": counts, "depths": depths}
+    arrays.pop(drop, None)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _raw_counts(timestamps, counts, depths):
+    """A sidecar archive whose member ``counts`` holds raw bytes, not an array."""
+    buffer = io.BytesIO(_archive(timestamps, counts, depths, drop="counts"))
+    with zipfile.ZipFile(buffer, "a") as archive:
+        archive.writestr("counts", counts.tobytes())
+    return buffer.getvalue()
+
+
+def _with(a, k, value):
+    a = a.copy()
+    a[k] = value
+    return a
+
+
+# One case per refusal of a malformed sidecar archive, built from the arrays of
+# `synth traj-pair --seed 3`'s trajA.depths (8 keyframes from 100.0, 0.1 s apart,
+# 96 depths each): the archive's bytes from (timestamps, counts, depths), and
+# the message `main` prints. Each exits 1.
+ARCHIVE_REFUSALS = {
+    "truncated": (lambda t, c, d: _archive(t, c, d)[:1000],
+                  "depth sidecar archive is unreadable: BadZipFile('File is not a zip file')"),
+    "missing-array": (lambda t, c, d: _archive(t, c, d, drop="counts"),
+                      "depth sidecar archive is unreadable: "
+                      "KeyError('counts is not a file in the archive')"),
+    "object-array": (lambda t, c, d: _archive(t, c, d.astype(object)),
+                     "depth sidecar archive is unreadable: "
+                     "ValueError('Object arrays cannot be loaded when allow_pickle=False')"),
+    "member-not-npy": (_raw_counts,
+                       "depth sidecar array 'counts' must be 1-d int64, got 0-d |S64"),
+    "dtype": (lambda t, c, d: _archive(t, c.astype(float), d),
+              "depth sidecar array 'counts' must be 1-d int64, got 1-d float64"),
+    "ndim": (lambda t, c, d: _archive(t, c, d[:, None]),
+             "depth sidecar array 'depths' must be 1-d float64, got 2-d float64"),
+    "negative-count": (lambda t, c, d: _archive(t, _with(c, [0, 2], [-1, c[2] + c[0] + 1]), d),
+                       "depth counts must be 8 non-negative integers summing to 768, "
+                       "got 8 summing to 768, least -1"),
+    "count-sum": (lambda t, c, d: _archive(t, _with(c, 0, c[0] + 1), d),
+                  "depth counts must be 8 non-negative integers summing to 768, "
+                  "got 8 summing to 769, least 96"),
+    "count-length": (lambda t, c, d: _archive(t, c[:-1], d[:-int(c[-1])]),
+                     "depth counts must be 8 non-negative integers summing to 672, "
+                     "got 7 summing to 672, least 96"),
+    "stamp": (lambda t, c, d: _archive(_with(t, 3, np.inf), c, d),
+              "timestamp inf must be finite"),
+    "depth": (lambda t, c, d: _archive(t, c, _with(d, 100, -1.0)),
+              "depth -1.0 at timestamp 100.1 must be finite and positive"),
+    "stamps-alike": (lambda t, c, d: _archive(_with(t, 1, t[0] + 1e-7), c, d),
+                     "timestamps must be strictly increasing at 6 decimals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARCHIVE_REFUSALS))
+def test_malformed_sidecar_archive_prints_its_message_and_exits_1(case, refusal_sources,
+                                                                   tmp_path, capsys):
+    build, message = ARCHIVE_REFUSALS[case]
+    source = read_depth_sidecar(refusal_sources / "trajA.depths")
+    counts = np.array([len(d) for d in source.values()], dtype=np.int64)
+    (tmp_path / "trajA.depths").write_bytes(
+        build(np.array(list(source)), counts, np.concatenate(list(source.values()))))
+    path = {n: str(refusal_sources / n) for n in ("trajA.txt", "trajB.txt", "trajB.depths",
+                                                  "matches.txt")}
+    path["trajA.depths"] = str(tmp_path / "trajA.depths")
+    capsys.readouterr()
+    assert main(_join_argv(path, tmp_path)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,7 +1,7 @@
+import io
 import os
 import tempfile
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +20,7 @@ from sedslam.files import (
     write_trajectory,
 )
 from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, quat_from_rotation, so3_exp
-from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories
+from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories, timestamp_key
 from sedslam.synth import NoiseModel, make_two_view
 from sedslam.twoview import AnchorMatchSet, normalize_points
 
@@ -269,23 +269,6 @@ class TestTrajectoryFile:
 
 
 class TestDepthSidecar:
-    @pytest.mark.parametrize("depth", [1e-12, 4.9e-10])
-    def test_write_refuses_depth_printed_as_zero(self, tmp_path, depth):
-        traj = simple_trajectory(n=2)
-        kf = traj.keyframes[1]
-        traj = Trajectory((traj.keyframes[0], replace(kf, depths=[2.0, depth, 1.0])))
-        path = tmp_path / "d.txt"
-        with pytest.raises(ValueError, match=f"depth {depth} at timestamp 0.250000 prints as "
-                                             "0.000000000"):
-            write_depth_sidecar(path, traj)
-        assert not path.exists()
-
-    def test_smallest_printable_depth_reads_back(self, tmp_path):
-        traj = Trajectory((Keyframe(0.0, Se3Pose.identity(), [5e-10, 1.0]),))
-        path = tmp_path / "d.txt"
-        write_depth_sidecar(path, traj)
-        assert read_depth_sidecar(path)[0.0][0] == 1e-9
-
     def test_duplicate_anchor_id(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0.0 0 1.0\n0.0 0 2.0\n")
@@ -400,15 +383,14 @@ def test_sidecar_reports_the_earlier_of_two_defects(tmp_path, first, second, kin
     assert str(exc.value) == f"line {first}: {messages[0]}"
 
 
-# With a "#" line at row 50,000 the C reader refuses the file and the line
-# reader reads it.
+# A text sidecar of 100,000 rows, with or without a "#" line at row 50,000.
 @pytest.mark.parametrize("comment_at", [None, 50_000])
 def test_sidecar_memory_is_bounded_by_a_block(tmp_path, comment_at):
     path = tmp_path / "big.depths"
     lines = [f"{100 + 0.1 * (i // 96):.6f} {i % 96} {1.0 + 0.01 * (i % 977):.9f}\n"
              for i in range(100_000)]
     if comment_at is not None:
-        lines.insert(comment_at, "# a comment the C reader refuses\n")
+        lines.insert(comment_at, "# a comment mid-file\n")
     with open(path, "w") as fh:
         fh.write("# timestamp anchor_id depth\n")
         fh.writelines(lines)
@@ -423,16 +405,14 @@ def test_sidecar_memory_is_bounded_by_a_block(tmp_path, comment_at):
     assert peak < 12e6
 
 
-# 25,000 sidecar rows as the writer leaves them, 8 anchors per timestamp:
-# the C reader takes such a file whole, and only a refusal or a failed
-# check sends it to the line reader.
+# 25,000 text sidecar rows, 8 anchors per timestamp.
 _LONG_ROWS = [f"{i // 8}.5 {i % 8} {1 + i % 7}.25" for i in range(25_000)]
 
 
 def test_long_sidecar_with_a_mid_file_comment_reads_as_the_oracle(tmp_path):
     path = tmp_path / "d.txt"
     lines = list(_LONG_ROWS)
-    lines.insert(12_345, "# a comment the C reader refuses")
+    lines.insert(12_345, "# a comment mid-file")
     path.write_text("# timestamp anchor_id depth\n" + "\n".join(lines) + "\n")
     got, expected = read_depth_sidecar(path), read_depth_sidecar_lines(path)
     assert list(got) == list(expected) and len(got) == 3125
@@ -442,11 +422,11 @@ def test_long_sidecar_with_a_mid_file_comment_reads_as_the_oracle(tmp_path):
 @pytest.mark.parametrize("kind", sorted(_DEFECTS) + ["id", "gap"])
 def test_defect_at_row_20000_of_a_long_sidecar(tmp_path, kind):
     lines = list(_LONG_ROWS)
-    if kind == "dup":  # the C reader takes it, the id check fails
+    if kind == "dup":
         lines[19_999], message = lines[19_998], "duplicate anchor id 6"
-    elif kind == "id":  # the C reader refuses it
+    elif kind == "id":
         lines[19_999], message = "2499.5 7.0 2.0", "invalid literal for int() with base 10: '7.0'"
-    elif kind == "gap":  # the C reader takes it, the id check fails
+    elif kind == "gap":
         lines[19_999], message = "2499.5 8 2.0", None
     else:
         lines[19_999], message = _DEFECTS[kind](20_000)
@@ -459,21 +439,17 @@ def test_defect_at_row_20000_of_a_long_sidecar(tmp_path, kind):
     assert _outcome(read_depth_sidecar_lines, path) == (TrajectoryFileError, str(exc.value))
 
 
-# numpy 1.23-1.25 parse "2.0" as the int64 2 with a DeprecationWarning, and
-# warn on input without data rows; the readers take such a warning as a
-# refusal, whatever the warning filters say.
 def test_sidecar_id_written_as_a_float_is_refused(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("# timestamp anchor_id depth\n0.0 0 1.0\n0.0 1 1.5\n0.0 2.0 2.0\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(TrajectoryFileError) as exc:
-            read_depth_sidecar(path)
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_depth_sidecar(path)
     assert str(exc.value) == "line 4: invalid literal for int() with base 10: '2.0'"
 
 
-# Values on binary grids print exactly, and 180-degree rotations about the
-# axes have quaternions of 0 and 1, so the columns read back bit for bit.
+# Trajectory values on binary grids print exactly, 180-degree rotations about
+# the axes have quaternions of 0 and 1, and the sidecar is binary, so the
+# columns read back bit for bit.
 def test_writer_output_never_reaches_the_line_reader(tmp_path, monkeypatch):
     rotations = np.array([np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
                           np.diag([-1.0, -1.0, 1.0])] * 3)
@@ -486,10 +462,9 @@ def test_writer_output_never_reaches_the_line_reader(tmp_path, monkeypatch):
     write_depth_sidecar(dp, traj)
 
     def line_reader(*args):
-        raise AssertionError("a writer's file reached the line reader")
+        raise AssertionError("a written sidecar reached the text sidecar reader")
 
     monkeypatch.setattr("sedslam.files._read_sidecar_lines", line_reader)
-    monkeypatch.setattr("sedslam.files._data_lines", line_reader)
     back = read_trajectory(tp, dp)
     for name in ("timestamps", "rotations", "translations", "depths", "depth_offsets"):
         assert np.array_equal(getattr(back, name), getattr(traj, name)), name
@@ -498,17 +473,69 @@ def test_writer_output_never_reaches_the_line_reader(tmp_path, monkeypatch):
 def test_header_only_sidecar_reads_as_empty(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("# timestamp anchor_id depth\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert read_depth_sidecar(path) == {}
+    assert read_depth_sidecar(path) == {}
+
+
+# Depths from 1e-300 to 1e300 and keyframes without depths, in 0 to 5
+# keyframes: the sidecar archive reads back bit for bit, with an entry for
+# each keyframe that has depths.
+_DEPTH = st.floats(1e-300, 1e300) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200)
+@given(offset=st.floats(-1e3, 1e3), data=st.data(),
+       counts=st.lists(st.integers(0, 4), max_size=5))
+def test_depth_sidecar_round_trips_bit_for_bit(offset, data, counts):
+    depths = data.draw(st.lists(_DEPTH, min_size=sum(counts), max_size=sum(counts)))
+    n = len(counts)
+    traj = Trajectory.from_columns(offset + 0.25 * np.arange(n), np.tile(np.eye(3), (n, 1, 1)),
+                                   np.zeros((n, 3)), depths, np.cumsum([0] + counts))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.depths")
+        write_depth_sidecar(path, traj)
+        back = read_depth_sidecar(path)
+    expected = [(timestamp_key(t), traj.depths[lo:hi]) for t, lo, hi in
+                zip(traj.timestamps.tolist(), traj.depth_offsets[:-1], traj.depth_offsets[1:])
+                if hi > lo]
+    assert list(back) == [key for key, _ in expected]
+    for key, d in expected:
+        assert back[key].dtype == np.float64 and np.array_equal(back[key], d)
+
+
+def _archive_bytes(**arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+# Every truncation of a small sidecar archive, and one flipped bit in each of
+# its bytes, either reads or raises TrajectoryFileError: never another error.
+def test_damaged_sidecar_archive_is_a_trajectory_file_error(tmp_path):
+    data = _archive_bytes(timestamps=np.array([0.5, 1.0, 1.5]),
+                          counts=np.array([2, 0, 1], dtype=np.int64),
+                          depths=np.array([1.5, 2.5, 3.5]))
+    rng = np.random.default_rng(0)
+    damaged = [data[:n] for n in range(4, len(data))]
+    for k in range(4, len(data)):
+        flipped = bytearray(data)
+        flipped[k] ^= 1 << int(rng.integers(8))
+        damaged.append(bytes(flipped))
+    path = tmp_path / "d.depths"
+    outcomes = set()
+    for blob in damaged:
+        path.write_bytes(blob)
+        try:
+            outcomes.add(type(read_depth_sidecar(path)))
+        except TrajectoryFileError:
+            outcomes.add(TrajectoryFileError)
+    assert TrajectoryFileError in outcomes and outcomes <= {dict, TrajectoryFileError}
 
 
 # Generated sidecar and trajectory text: valid files with a few injected
 # defects, comment, blank and whitespace-only lines, CRLF line endings and
-# the whitespace that str.split and numpy's C reader both split at. The
-# readers must raise what the line-by-line readers raise, or return
-# bit-identical keyframes. Ids written as floats ("2.0", "1e2") are where
-# int() and the C reader's int64 parse could differ.
+# the whitespace that str.split splits at. The readers must raise what the
+# reference readers in oracles.py raise, or return bit-identical keyframes.
+# Ids written as floats ("2.0", "1e2") must be refused.
 _STAMPS = ["0.5", "1.0000001", "1.0000002", "2.25", "-0.0", "0.0", "1e1", "10.0", "3.5"]
 _DEPTHS = ["1.5", "0.25", "3", "2e-3", "7.000000001", "+4.5"]
 _IDS = ["2.0", "1e2", "-0"]
@@ -779,3 +806,15 @@ def test_first_defective_pose_wins_over_a_later_refusal(tmp_path, later):
     with pytest.raises(TrajectoryFileError) as exc:
         read_trajectory_lines(str(path))
     assert str(exc.value) == "line 3: quaternion norm 2.0 is not 1"
+
+
+# Counts whose int64 sum wraps to the number of depths are still refused.
+def test_sidecar_counts_whose_int64_sum_wraps_are_refused(tmp_path):
+    path = tmp_path / "d.depths"
+    path.write_bytes(_archive_bytes(timestamps=np.array([0.5, 1.0, 1.5]),
+                                    counts=np.array([2 ** 63 - 1, 2 ** 63 - 1, 2],
+                                                    dtype=np.int64),
+                                    depths=np.zeros(0)))
+    with pytest.raises(TrajectoryFileError, match=r"got 3 summing to 18446744073709551616, "
+                                                  r"least 2$"):
+        read_depth_sidecar(path)
