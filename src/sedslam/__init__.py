@@ -24,7 +24,6 @@ from .twoview import (
     clamp_to_epipolar,
     decompose_essential,
     lm_refine_sed,
-    normalize_points,
     sed_cost,
     sed_jacobian,
     select_by_chirality,

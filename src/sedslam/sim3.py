@@ -148,7 +148,7 @@ def _check_rows(ts, rot, trans, depths, offsets) -> None:
                  depths[offsets[row]:offsets[row + 1]])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JoinCandidate:
     """A retrieved cross-trajectory frame pair with its match set.
 
@@ -161,7 +161,6 @@ class JoinCandidate:
     matches: AnchorMatchSet
     anchor_ids0: np.ndarray
     anchor_ids1: np.ndarray
-    pose: RelativePose | None = None
 
 
 @dataclass(frozen=True)
@@ -184,14 +183,12 @@ class TriangulatedDepths:
     n_dropped: int
 
 
-def triangulated_depths(candidate: JoinCandidate) -> TriangulatedDepths:
-    """Unit-baseline depths of every anchor under the candidate's pose, from
+def triangulated_depths(pose: RelativePose, mset: AnchorMatchSet) -> TriangulatedDepths:
+    """Unit-baseline depths of every anchor of ``mset`` under ``pose``, from
     :func:`~sedslam.twoview.front_depths`; anchors not in front of both
     cameras are dropped (marked invalid) and counted.
     """
-    if candidate.pose is None:
-        raise ValueError("candidate has no solved pose")
-    d0, valid0, d1, valid1 = front_depths(candidate.pose, candidate.matches)
+    d0, valid0, d1, valid1 = front_depths(pose, mset)
     n_valid = int(np.sum(valid0) + np.sum(valid1))
     n_dropped = len(d0) + len(d1) - n_valid
     if n_valid < MIN_VALID_DEPTHS:
@@ -288,15 +285,15 @@ def estimate_join(traj_a: Trajectory, traj_b: Trajectory, candidate: JoinCandida
     camera-level transform and conjugates it with the keyframe poses:
     ``S_world = G_a . S_cam . G_b^-1`` maps trajectory b's world frame into
     trajectory a's. A ``SedSlamError`` names its stage: a two-view sub-stage,
-    else ``two_view``, ``triangulate`` or ``sim3``.
+    else ``two_view``, ``triangulate`` or ``sim3``. The candidate is left
+    unchanged; the solved pose is the result's ``report.pose``.
     """
     with _staged("two_view"):
         report = solve_two_view(candidate.matches, max_iters)
-    candidate.pose = report.pose
     kf_a = traj_a.keyframe(candidate.frame_a)
     kf_b = traj_b.keyframe(candidate.frame_b)
     with _staged("triangulate"):
-        tri = triangulated_depths(candidate)
+        tri = triangulated_depths(report.pose, candidate.matches)
         vo_a = kf_a.depths[candidate.anchor_ids0][tri.valid0]
         vo_b = kf_b.depths[candidate.anchor_ids1][tri.valid1]
         if vo_a.size == 0 or vo_b.size == 0:

@@ -49,6 +49,9 @@ class NoiseModel:
             raise ValueError("outlier_fraction must lie in [0, 1)")
         if not 0.0 <= self.gaussian_sigma < math.inf:
             raise ValueError(f"gaussian_sigma must be finite and >= 0, got {self.gaussian_sigma}")
+        if self.gaussian_sigma > 1e150:
+            raise ValueError(f"gaussian_sigma {self.gaussian_sigma} lies outside [0, 1e150], "
+                             "where the norm of its noise overflows")
         if not 0.0 <= self.outlier_weight <= 1.0:
             raise ValueError(f"outlier_weight must lie in [0, 1], got {self.outlier_weight}")
 

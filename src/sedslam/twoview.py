@@ -1,16 +1,17 @@
 """Two-view relative pose from weighted bi-directional anchor/match sets.
 
-The pipeline preconditions the pose with a weighted 8-point solve of the
-homogeneous least squares ``argmin_F ||diag(w) M vec(F)||^2, ||F|| = 1``,
-extracts the four pose candidates from the essential matrix, picks one by
-chirality, then refines rotation and translation direction with a
-Levenberg-Marquardt solver on the symmetric epipolar distance (SED)
+The pipeline runs in stages. ``eight_point`` solves the weighted homogeneous
+least squares ``argmin_F ||diag(w) M vec(F)||^2, ||F|| = 1`` on points mapped
+to [-1, 1] and returns the pixel F; ``decompose`` extracts the four pose
+candidates from its essential matrix; ``chirality`` picks one; ``refine``
+moves rotation and translation direction by a Levenberg-Marquardt solver on
+the symmetric epipolar distance (SED)
 
     E_ij = sum_k w_kj * ||err(m_kj, l_kj)||^2,    minimized over (xi_R, xi_t)
 
 summed over both directions, where ``l_kj`` is the epipolar line of anchor
-``a_k`` under the pose ``(exp(xi_R) R, exp(xi_t) t)``. Finally the matches
-are clamped onto their epipolar lines. Inside the solve the row table, lines,
+``a_k`` under the pose ``(exp(xi_R) R, exp(xi_t) t)``. Finally ``clamp`` moves
+the matches onto their epipolar lines. Inside the solve the row table, lines,
 errors and Jacobians are component-major, one length-n row per component.
 """
 
@@ -154,23 +155,6 @@ def apply_homography(h, points) -> np.ndarray:
     return ph[..., :2] / ph[..., 2:3]
 
 
-def normalize_points(mset: AnchorMatchSet):
-    """Map all coordinates to [-1, 1] via the image bounds.
-
-    Returns the normalized set plus the two 3x3 normalizing transforms
-    (frame 0 and frame 1); the transforms round-trip exactly up to float
-    rounding, and de-normalization of an estimated F is ``T1ᵀ F_norm T0``.
-    """
-    t0 = normalize_transform(*mset.size0)
-    t1 = normalize_transform(*mset.size1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
-        normalized = _derived_set(mset, anchors0=apply_homography(t0, mset.anchors0),
-                                  matches0=apply_homography(t1, mset.matches0),
-                                  anchors1=apply_homography(t1, mset.anchors1),
-                                  matches1=apply_homography(t0, mset.matches1))
-    return normalized, t0, t1
-
-
 def _derived_set(mset: AnchorMatchSet, **points) -> AnchorMatchSet:
     """``replace(mset, **points)`` of points derived from the checked ``mset``, unchecked."""
     return _unchecked(AnchorMatchSet, *(points.get(name, getattr(mset, name))
@@ -186,15 +170,18 @@ def _design_rows(p0, p1):
 
 
 def weighted_eight_point(mset: AnchorMatchSet) -> np.ndarray:
-    """Weighted 8-point estimate of the fundamental matrix.
+    """Weighted 8-point estimate of the pixel fundamental matrix ``T1ᵀ F T0``.
 
-    Solves the homogeneous least squares over all positive-weight pairs,
-    projects the result to rank 2 and returns it with unit Frobenius norm,
-    in the coordinate units the set is expressed in.
+    ``T0``/``T1`` map each frame's points to [-1, 1] by its image bounds; there
+    ``F`` solves the homogeneous least squares over all positive-weight pairs,
+    projected to rank 2 with unit Frobenius norm.
     """
+    t0, t1 = normalize_transform(*mset.size0), normalize_transform(*mset.size1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at the SVD
-        rows = _design_rows(np.concatenate([mset.anchors0, mset.matches1]),
-                            np.concatenate([mset.matches0, mset.anchors1]))
+        rows = _design_rows(np.concatenate([apply_homography(t0, mset.anchors0),
+                                            apply_homography(t0, mset.matches1)]),
+                            np.concatenate([apply_homography(t1, mset.matches0),
+                                            apply_homography(t1, mset.anchors1)]))
     w = np.concatenate([mset.weights0, mset.weights1])
     usable = w > 0.0
     if int(np.sum(usable)) < 8:
@@ -209,7 +196,8 @@ def weighted_eight_point(mset: AnchorMatchSet) -> np.ndarray:
     f = vt[-1].reshape(3, 3)
     u, s, vt2 = np.linalg.svd(f)
     f = (u * np.array([s[0], s[1], 0.0])) @ vt2
-    return f / np.linalg.norm(f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at E's SVD
+        return t1.T @ (f / np.linalg.norm(f)) @ t0
 
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -425,24 +413,19 @@ def clamp_to_epipolar(mset: AnchorMatchSet, pose: RelativePose) -> AnchorMatchSe
 
 
 def solve_two_view(mset: AnchorMatchSet, max_iters: int = 50) -> SedSolveReport:
-    """Full two-view pipeline.
-
-    normalize -> weighted 8-point -> uncalibrate to E -> decompose ->
-    chirality -> LM refinement of the SED -> clamp matches. Errors raised by
-    a sub-stage carry that stage's name.
+    """Full two-view pipeline, stage by stage: ``eight_point`` (pixel F),
+    ``decompose`` (E and its four poses), ``chirality``, ``refine`` (LM on the
+    SED) and ``clamp`` (matches onto their lines). Errors raised by a stage
+    carry its name.
     """
     if mset.n_usable < 8:
         raise InsufficientMatchesError(
             f"insufficient matches: need at least 8 usable, have {mset.n_usable}")
-    with _staged("normalize"):
-        normalized, t0, t1 = normalize_points(mset)
     with _staged("eight_point"):
-        f_norm = weighted_eight_point(normalized)
-    with _staged("uncalibrate"):
-        f_pix = t1.T @ f_norm @ t0
-        e = essential_from_fundamental(f_pix, mset.intrinsics0, mset.intrinsics1)
+        f = weighted_eight_point(mset)
     with _staged("decompose"):
-        candidates = decompose_essential(e)
+        candidates = decompose_essential(
+            essential_from_fundamental(f, mset.intrinsics0, mset.intrinsics1))
     with _staged("chirality"):
         pose0, cand_idx = select_by_chirality(candidates, mset)
     with _staged("refine"):

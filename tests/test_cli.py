@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import zipfile
 from dataclasses import replace
 
@@ -505,6 +506,29 @@ class TestSynthCommand:
         assert main(["synth", "traj-pair", "--n-frames", "1", "--out-dir", str(d)]) == 1
         assert "need at least 2 frames per trajectory, got 1" in capsys.readouterr().err
         assert not d.exists()
+
+    # From about 1e154 the norm of the noise overflows and its 3-sigma clip
+    # scales it to 0, which once wrote a noise-free fixture with exit 0.
+    @pytest.mark.parametrize("command, out", [("two-view", "--out"), ("traj-pair", "--out-dir")])
+    @pytest.mark.parametrize("sigma", ["1e154", "1e300"])
+    def test_huge_sigma_exits_1_with_no_file_and_no_warning(self, tmp_path, capsys, command,
+                                                             out, sigma):
+        path = tmp_path / "fixture"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", command, "--seed", "3", "--sigma", sigma, out, str(path)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (f"error: gaussian_sigma {float(sigma)} lies outside "
+                                           "[0, 1e150], where the norm of its noise overflows\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command, out", [("two-view", "--out"), ("traj-pair", "--out-dir")])
+    def test_sigma_at_the_bound_still_writes(self, tmp_path, capsys, command, out):
+        path = tmp_path / "fixture"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", command, "--seed", "3", "--sigma", "1e150", out, str(path)]) == 0
+        assert caught == [] and path.exists()
 
     def test_traj_pair_fixture_joins(self, tmp_path, capsys):
         d = tmp_path / "p"

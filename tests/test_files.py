@@ -22,7 +22,7 @@ from sedslam.files import (
 from sedslam.geom import Intrinsics, Se3Pose, Sim3Transform, quat_from_rotation, so3_exp
 from sedslam.sim3 import Keyframe, Trajectory, merge_trajectories, timestamp_key
 from sedslam.synth import NoiseModel, make_two_view
-from sedslam.twoview import AnchorMatchSet, normalize_points
+from sedslam.twoview import AnchorMatchSet, apply_homography, normalize_transform
 
 
 def simple_trajectory(n=5, t0=0.0, seed=0, depths=True):
@@ -33,6 +33,16 @@ def simple_trajectory(n=5, t0=0.0, seed=0, depths=True):
         d = rng.uniform(0.5, 4.0, size=3) if depths else np.zeros(0)
         kfs.append(Keyframe(t0 + 0.25 * i, pose, d))
     return Trajectory(tuple(kfs))
+
+
+def normalized(mset):
+    """``mset`` with its four point arrays mapped to [-1, 1], its intrinsics and
+    image sizes kept in pixels: a set whose anchors lie outside the image."""
+    t0, t1 = normalize_transform(*mset.size0), normalize_transform(*mset.size1)
+    return replace(mset, anchors0=apply_homography(t0, mset.anchors0),
+                   matches0=apply_homography(t1, mset.matches0),
+                   anchors1=apply_homography(t1, mset.anchors1),
+                   matches1=apply_homography(t0, mset.matches1))
 
 
 class TestMatchFile:
@@ -133,7 +143,7 @@ class TestMatchFile:
         assert "line 3" in str(exc.value)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda m: normalize_points(m)[0],
+        (normalized,
          "line 4: anchor (-0.749140102, -0.884663599) outside image bounds"),
         (lambda m: replace(m, anchors0=np.vstack([[512.0000000006, 10.0], m.anchors0[1:]])),
          "line 4: anchor (512.000000001, 10.0) outside image bounds"),

@@ -72,8 +72,7 @@ class TestTriangulatedDepths:
         cand = build_join_candidate(pair, ia, ib)
         pose, baseline = gt_relative_pose(pair.traj_a.keyframes[ia].pose,
                                           pair.poses_b_metric[ib])
-        cand.pose = pose
-        tri = triangulated_depths(cand)
+        tri = triangulated_depths(pose, cand.matches)
         vo_a = pair.traj_a.keyframes[ia].depths[cand.anchor_ids0]
         err_a = np.abs(tri.depths0[tri.valid0] * baseline - vo_a[tri.valid0])
         assert err_a.max() < 1e-6
@@ -94,10 +93,20 @@ class TestTriangulatedDepths:
         on_ray = on_ray @ m.intrinsics1.matrix().T
         matches0, weights0 = m.matches0.copy(), m.weights0.copy()
         matches0[:3], weights0[:3] = on_ray[:, :2] / on_ray[:, 2:], 0.0
-        cand.matches = AnchorMatchSet(m.anchors0, matches0, weights0, m.anchors1, m.matches1,
-                                      m.weights1, m.intrinsics0, m.intrinsics1, m.size0, m.size1)
+        cand = dataclasses.replace(cand, matches=dataclasses.replace(m, matches0=matches0,
+                                                                     weights0=weights0))
         est = estimate_join(pair.traj_a, pair.traj_b, cand)
-        assert est.n_dropped == triangulated_depths(cand).n_dropped == 3
+        assert est.n_dropped == triangulated_depths(est.report.pose, cand.matches).n_dropped == 3
+
+    def test_join_leaves_the_frozen_candidate_unchanged(self):
+        pair = make_trajectory_pair(0)
+        cand = build_join_candidate(pair, *pair.pairs[0])
+        fields = {f.name: getattr(cand, f.name) for f in dataclasses.fields(cand)}
+        est = estimate_join(pair.traj_a, pair.traj_b, cand)
+        assert est.candidate is cand and "pose" not in fields
+        assert all(getattr(cand, name) is value for name, value in fields.items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cand.matches = cand.matches
 
     def test_pure_rotation_pair_has_no_valid_depths(self):
         # Matches generated by a camera rotating about its own center obey a
@@ -113,19 +122,16 @@ class TestTriangulatedDepths:
         u2 = p2[:, :2] / p2[:, 2:3]
         mset = AnchorMatchSet(u1[:15], u2[:15], np.ones(15), u2[15:], u1[15:], np.ones(15),
                               K, K, SIZE, SIZE)
-        cand = JoinCandidate(0, 0, mset, np.arange(15), np.arange(15),
-                             pose=RelativePose(rot, [1.0, 0.0, 0.0]))
         with pytest.raises(TooFewDepthsError):
-            triangulated_depths(cand)
+            triangulated_depths(RelativePose(rot, [1.0, 0.0, 0.0]), mset)
 
     def test_mirrored_pose_drops_behind_camera_points(self):
         pair = make_trajectory_pair(2)
         ia, ib = pair.pairs[0]
         cand = build_join_candidate(pair, ia, ib)
         pose, _ = gt_relative_pose(pair.traj_a.keyframes[ia].pose, pair.poses_b_metric[ib])
-        cand.pose = RelativePose(pose.rotation, -pose.translation_dir)
         with pytest.raises(TooFewDepthsError):
-            triangulated_depths(cand)
+            triangulated_depths(RelativePose(pose.rotation, -pose.translation_dir), cand.matches)
 
 
 class TestKeyframe:
@@ -355,7 +361,7 @@ class TestBuildSim3:
         gt_cam = (Sim3Transform.from_se3(pair.traj_a.keyframes[ia].pose).inverse()
                   .compose(gt)
                   .compose(Sim3Transform.from_se3(pair.traj_b.keyframes[ib].pose)))
-        pose = est.candidate.pose
+        pose = est.report.pose
         alt_translation = -est.scale_b.scale * (pose.rotation.T @ pose.translation_dir)
         good_err = np.linalg.norm(est.camera_sim3.translation - gt_cam.translation)
         alt_err = np.linalg.norm(alt_translation - gt_cam.translation)

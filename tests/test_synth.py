@@ -227,6 +227,7 @@ class TestNoiseModel:
         ({"outlier_weight": -0.5}, r"outlier_weight must lie in \[0, 1\]"),
         ({"outlier_weight": 1.5}, r"outlier_weight must lie in \[0, 1\]"),
         ({"outlier_fraction": np.nan}, r"outlier_fraction must lie in \[0, 1\)"),
+        ({"gaussian_sigma": np.nextafter(1e150, np.inf)}, r"lies outside \[0, 1e150\]"),
     ])
     def test_rejects_non_finite_or_out_of_range_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

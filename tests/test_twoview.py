@@ -33,7 +33,6 @@ from sedslam.twoview import (
     clamp_to_epipolar,
     decompose_essential,
     lm_refine_sed,
-    normalize_points,
     normalize_transform,
     sed_cost,
     sed_jacobian,
@@ -48,10 +47,7 @@ SIZE = (512.0, 512.0)
 
 def preconditioned_pose(mset):
     """8-point -> essential -> chirality, without LM refinement."""
-    normalized, t0, t1 = normalize_points(mset)
-    f_norm = weighted_eight_point(normalized)
-    f_pix = t1.T @ f_norm @ t0
-    e = essential_from_fundamental(f_pix, mset.intrinsics0, mset.intrinsics1)
+    e = essential_from_fundamental(weighted_eight_point(mset), mset.intrinsics0, mset.intrinsics1)
     return select_by_chirality(decompose_essential(e), mset)
 
 
@@ -99,10 +95,12 @@ class TestNormalize:
             assert np.linalg.norm(t_inv @ (t @ p) - p) < 1e-12
 
     def test_normalized_set_bounds(self):
+        # The four arrays the 8-point estimator maps to [-1, 1] before its solve.
         mset, _ = make_two_view(0, 32)
-        normalized, _, _ = normalize_points(mset)
-        for arr in (normalized.anchors0, normalized.matches0,
-                    normalized.anchors1, normalized.matches1):
+        t0, t1 = normalize_transform(*mset.size0), normalize_transform(*mset.size1)
+        for t, points in ((t0, mset.anchors0), (t1, mset.matches0),
+                          (t1, mset.anchors1), (t0, mset.matches1)):
+            arr = apply_homography(t, points)
             assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
 
 
@@ -123,8 +121,10 @@ class TestWeightedEightPoint:
         clean = AnchorMatchSet(mset.anchors0[inl0], mset.matches0[inl0], mset.weights0[inl0],
                                mset.anchors1[inl1], mset.matches1[inl1], mset.weights1[inl1],
                                K, K, SIZE, SIZE)
-        f_full = weighted_eight_point(normalize_points(mset)[0])
-        f_clean = weighted_eight_point(normalize_points(clean)[0])
+        # Pixel F's are not unit-norm and their entries span orders of
+        # magnitude: compare them scaled to unit Frobenius norm.
+        f_full, f_clean = (f / np.linalg.norm(f) for f in (weighted_eight_point(mset),
+                                                             weighted_eight_point(clean)))
         if np.sum(f_full * f_clean) < 0.0:
             f_clean = -f_clean
         assert np.linalg.norm(f_full - f_clean) < 1e-6
@@ -143,7 +143,7 @@ class TestWeightedEightPoint:
         mset = AnchorMatchSet(u1[:13], u2[:13], np.ones(13), u2[13:], u1[13:], np.ones(12),
                               K, K, SIZE, SIZE)
         with pytest.raises(RankDeficiencyError):
-            weighted_eight_point(normalize_points(mset)[0])
+            weighted_eight_point(mset)
 
     def test_too_few_matches(self):
         mset, _ = make_two_view(1, 32)
@@ -182,6 +182,20 @@ class TestWeightedEightPoint:
             with pytest.raises(SedSlamError) as exc_info:
                 solve_two_view(replace(mset, size0=(1e-306, 512)))
         assert exc_info.value.stage == "eight_point"
+
+    # Below about 1e-154 px per side, T1ᵀ F T0 overflows although the
+    # normalized points and their F are finite.
+    def test_overflowing_pixel_fundamental_is_refused_without_a_warning(self):
+        mset, _ = make_two_view(0, 32)
+        k = 1e-160 / 512.0
+        tiny = replace(mset, anchors0=k * mset.anchors0, matches0=k * mset.matches0,
+                       anchors1=k * mset.anchors1, matches1=k * mset.matches1,
+                       size0=(1e-160, 1e-160), size1=(1e-160, 1e-160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SedSlamError) as exc_info:
+                solve_two_view(tiny)
+        assert str(exc_info.value) == "decompose: essential matrix is not finite"
 
 
 class TestDecomposeEssential:
@@ -714,13 +728,6 @@ def test_unchecked_builds_equal_checked_ones(seed, n, xi):
         inv_t = -pose.rotation.T @ pose.translation_dir
         _assert_same_fields(pose.inverse(),
                             RelativePose(pose.rotation.T, inv_t / np.linalg.norm(inv_t)))
-
-    normalized, t0, t1 = normalize_points(mset)
-    _assert_same_fields(normalized, replace(
-        mset, anchors0=apply_homography(t0, mset.anchors0),
-        matches0=apply_homography(t1, mset.matches0),
-        anchors1=apply_homography(t1, mset.anchors1),
-        matches1=apply_homography(t0, mset.matches1)))
 
     pose = _derived_pose(rot, t)
     *_, good, err = twoview._epipolar(pose.rotation, pose.translation_dir, mset)
