@@ -13,11 +13,9 @@ Trajectories use the TUM convention ``timestamp tx ty tz qx qy qz qw``
 :class:`~sedslam.sim3.Trajectory`. A depth sidecar holds three 1-d arrays:
 ``timestamps`` (float64, increasing), ``counts`` (int64, depths per keyframe)
 and ``depths`` (float64, keyframe after keyframe, each in match-file row
-order), recognized by the zip magic bytes; any other file is read as a text
-sidecar, lines ``timestamp anchor_id depth`` with ids contiguous from 0 per
-timestamp. Every sidecar timestamp must match a pose, at
-``sim3.TIMESTAMP_DECIMALS`` decimals. Each text format has one line reader,
-and the first defective line decides its error.
+order). Every sidecar timestamp must match a pose, at
+``sim3.TIMESTAMP_DECIMALS`` decimals. Text files are UTF-8. Each text format
+has one line reader, and the first defective line decides its error.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -52,12 +49,12 @@ def write_match_file(path, mset: AnchorMatchSet) -> None:
         _parse_match_lines(lines)
     except MatchFileError as exc:
         raise ValueError(f"match set would not read back: {exc}") from exc
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_match_file(path) -> AnchorMatchSet:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return _parse_match_lines(fh)
 
 
@@ -128,7 +125,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
     rows = np.concatenate([traj.timestamps[:, None], traj.translations,
                            quat_from_rotation(traj.rotations)], axis=1)
     line = f"%.{TIMESTAMP_DECIMALS}f" + " %.9f" * 7 + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# timestamp tx ty tz qx qy qz qw\n")
         fh.writelines(map(line.__mod__, map(tuple, rows.tolist())))
 
@@ -144,48 +141,16 @@ def write_depth_sidecar(path, traj: Trajectory) -> None:
         fh.write(archive.getbuffer())
 
 
-def _read_sidecar_lines(path) -> dict:
-    """``read_depth_sidecar`` of a text sidecar; the first defective line, else
-    the first timestamp whose ids are not contiguous from 0, decides the error."""
-    per_key = defaultdict(dict)  # {anchor id: depth} by timestamp key
-    with open(path) as fh:
-        for n, fields in _data_lines(fh):
-            try:
-                if len(fields) != 3:
-                    raise ValueError("expected 3 fields")
-                key = timestamp_key(float(fields[0]))
-                idx, depth = int(fields[1]), float(fields[2])
-                if not 0.0 < depth < math.inf:
-                    raise ValueError("depth must be finite and positive")
-                if not math.isfinite(key):  # a key is finite exactly when its stamp is
-                    raise ValueError("timestamp must be finite")
-                entries = per_key[key]
-                if idx in entries:
-                    raise ValueError(f"duplicate anchor id {idx}")
-            except ValueError as exc:
-                raise TrajectoryFileError(str(exc), f"line {n}") from exc
-            entries[idx] = depth
-    out = {}
-    for key in list(per_key):  # each dict is freed once its array is built
-        entries = per_key.pop(key)
-        try:  # ids are distinct, so they are contiguous from 0 if all of 0..n-1 are there
-            out[key] = np.array([entries[i] for i in range(len(entries))])
-        except KeyError:
-            raise TrajectoryFileError(
-                f"anchor ids for timestamp {key} must be contiguous from 0") from None
-    return out
-
-
 # The arrays of a sidecar archive, in order, with their dtypes; each is 1-d.
 _SIDECAR_ARRAYS = {"timestamps": np.float64, "counts": np.int64, "depths": np.float64}
 
 
 def read_depth_sidecar(path) -> dict:
-    """Depth arrays by timestamp key, in order of first appearance, none empty: the
-    writer's archive, recognized by the zip magic bytes, else the text sidecar's lines."""
+    """Depth arrays by timestamp key, in order, none empty, of the writer's archive."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
-            return _read_sidecar_lines(path)
+            raise TrajectoryFileError("depth sidecar is not an .npz archive of timestamps, "
+                                      "counts and depths; text sidecars are no longer read")
         fh.seek(0)
         try:  # a member that is not .npy reads as bytes, a 0-d array here
             with np.load(fh, allow_pickle=False) as archive:
@@ -221,7 +186,7 @@ def read_trajectory(path, depth_path=None) -> Trajectory:
     depths = read_depth_sidecar(depth_path) if depth_path else {}
     rows, numbers, error = [], [], None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for n, fields in _data_lines(fh):
                 try:
                     if len(fields) != 8:
@@ -269,6 +234,6 @@ def sim3_to_dict(sim3) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

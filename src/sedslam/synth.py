@@ -440,7 +440,7 @@ def basin_experiment(n_seeds: int, init_error_grid, mode: str,
 
 
 def write_basin_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["init_deg", "seed", "mode", "final_rot_deg",
                          "final_trans_deg", "converged"])

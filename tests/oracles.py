@@ -14,6 +14,7 @@ import numpy as np
 from sedslam.ba import _observations, _project, _state
 from sedslam.errors import (BehindCameraError, SedSlamError, TimestampCollisionError,
                             TrajectoryFileError)
+from sedslam.files import read_depth_sidecar
 from sedslam.geom import (LINE_EPS, MIN_RAY_ANGLE, SMALL_ANGLE, Intrinsics, RelativePose, Se3Pose,
                           calibrated_rays, project, rotation_angle, skew, triangulate_batch)
 from sedslam.sim3 import TIMESTAMP_DECIMALS, Keyframe, ScaleEstimate, Trajectory, timestamp_key
@@ -351,49 +352,12 @@ def rotation_rejection(rot, tol=1e-9):
     return None
 
 
-def read_depth_sidecar_lines(path):
-    """Depth sidecar read one line at a time, with a dict per timestamp key."""
-    per_ts = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise TrajectoryFileError(f"line {lineno}: expected 3 fields")
-            try:
-                ts = float(parts[0])
-                idx = int(parts[1])
-                depth = float(parts[2])
-            except ValueError as exc:
-                raise TrajectoryFileError(f"line {lineno}: {exc}") from exc
-            if not 0.0 < depth < math.inf:
-                raise TrajectoryFileError(f"line {lineno}: depth must be finite and positive")
-            key = timestamp_key(ts)
-            entries = per_ts.get(key)
-            if entries is None:
-                if not math.isfinite(ts):
-                    raise TrajectoryFileError(f"line {lineno}: timestamp must be finite")
-                entries = per_ts[key] = {}
-            if idx in entries:
-                raise TrajectoryFileError(f"line {lineno}: duplicate anchor id {idx}")
-            entries[idx] = depth
-    out = {}
-    for ts, entries in per_ts.items():
-        ids = sorted(entries)
-        if ids != list(range(len(ids))):
-            raise TrajectoryFileError(
-                f"anchor ids for timestamp {ts} must be contiguous from 0")
-        out[ts] = np.array([entries[i] for i in ids])
-    return out
-
-
 def read_trajectory_lines(path, depth_path=None):
-    """TUM trajectory read one line at a time, one pose per line."""
-    depths = read_depth_sidecar_lines(depth_path) if depth_path else {}
+    """TUM trajectory read one line at a time, one pose per line, with the
+    depths of its optional sidecar as the library reads them."""
+    depths = read_depth_sidecar(depth_path) if depth_path else {}
     keyframes = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

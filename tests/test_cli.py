@@ -41,14 +41,17 @@ def reported_pose(vals):
     return RelativePose(rotation_from_quat(q), t / np.linalg.norm(t))
 
 
-def sidecar_as_text(path):
-    """Rewrite the depth sidecar at ``path`` as text, one line per depth after a
-    header line, with the same depths, so that a test can edit its lines."""
-    lines = ["# timestamp anchor_id depth"]
-    for key, depths in read_depth_sidecar(path).items():
-        lines += [f"{key:.6f} {i} {d!r}" for i, d in enumerate(depths.tolist())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def sidecar_arrays(path):
+    """The (timestamps, counts, depths) arrays of the sidecar at ``path``, as
+    read, so that a test can edit them and write them back with ``_archive``."""
+    source = read_depth_sidecar(path)
+    counts = np.array([len(d) for d in source.values()], dtype=np.int64)
+    return np.array(list(source)), counts, np.concatenate(list(source.values()))
+
+
+def write_sidecar_arrays(path, timestamps, counts, depths):
+    with open(path, "wb") as fh:
+        fh.write(_archive(timestamps, counts, depths))
 
 
 def write_join_fixture(tmp_path, seed=3, sim3=None, shuffle_matches=False):
@@ -208,9 +211,9 @@ class TestJoinCommand:
 
     def test_orphan_sidecar_rows_exit_1(self, tmp_path, capsys):
         pair, (fa, fb), paths = write_join_fixture(tmp_path, seed=4)
-        sidecar_as_text(paths["trajB_d"])
-        with open(paths["trajB_d"], "a") as fh:
-            fh.write("99999.5 0 1.0\n")
+        t, c, d = sidecar_arrays(paths["trajB_d"])
+        write_sidecar_arrays(paths["trajB_d"], np.append(t, 99999.5), np.append(c, 1),
+                             np.append(d, 1.0))
         code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
                      "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
                      "--frame-a", str(fa), "--frame-b", str(fb),
@@ -224,17 +227,16 @@ class TestJoinCommand:
         frame, traj = (fa, pair.traj_a) if side == "A" else (fb, pair.traj_b)
         stamp = f"{traj.keyframes[frame].timestamp:.6f}"
         sidecar = tmp_path / f"traj{side}.depths"
-        sidecar_as_text(sidecar)
-        rows = sidecar.read_text().splitlines(keepends=True)
-        mine = [i for i, row in enumerate(rows) if row.split()[0] == stamp]
-        del rows[mine[-1]]  # the frame's highest anchor id
-        sidecar.write_text("".join(rows))
+        t, c, d = sidecar_arrays(sidecar)
+        k = [f"{key:.6f}" for key in t.tolist()].index(stamp)
+        n = int(c[k])
+        # The frame's count falls by one and its last depth goes.
+        write_sidecar_arrays(sidecar, t, _with(c, k, n - 1), np.delete(d, c[:k + 1].sum() - 1))
         code = main(["join", paths["trajA"], paths["trajB"], paths["matches"],
                      "--depths-a", paths["trajA_d"], "--depths-b", paths["trajB_d"],
                      "--frame-a", str(fa), "--frame-b", str(fb),
                      "--out", str(tmp_path / "m.txt"), "--sim3-out", str(tmp_path / "s.json")])
         assert code == 1
-        n = len(mine)
         assert (capsys.readouterr().err
                 == f"error: frame {frame} of trajectory {side} has {n - 1} depths for {n} matches\n")
 
@@ -257,9 +259,9 @@ class TestJoinCommand:
         assert main(["synth", "traj-pair", "--seed", "1", "--out-dir", str(tp)]) == 0
         gt = json.loads((tp / "gt.json").read_text())
         # Trajectory B retimed onto trajectory A's stamps: 200.x becomes 100.x.
-        sidecar_as_text(tp / "trajB.depths")
-        for name in ("trajB.txt", "trajB.depths"):
-            (tp / name).write_text((tp / name).read_text().replace("\n200.", "\n100."))
+        (tp / "trajB.txt").write_text((tp / "trajB.txt").read_text().replace("\n200.", "\n100."))
+        t, c, d = sidecar_arrays(tp / "trajB.depths")
+        write_sidecar_arrays(tp / "trajB.depths", t - 100.0, c, d)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("the join was solved")
@@ -380,6 +382,42 @@ def _run_cli(*argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sedslam.__file__)))
     return subprocess.run([sys.executable, "-m", "sedslam.cli", *argv], capture_output=True,
                           text=True, timeout=10, env=env)
+
+
+# A session through every command that reads or writes a text file, in a child
+# process where opening one in the locale's encoding raises EncodingWarning
+# and the C locale makes that encoding ASCII. `ate` reads a trajectory whose
+# fields are separated by U+2003, which str.split splits at.
+_UTF8_SESSION = """
+import json, sys
+from pathlib import Path
+from sedslam.cli import main
+
+d = Path(sys.argv[1])
+def run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+run("synth", "two-view", "--seed", 1, "--out", d / "m.txt")
+run("two-view", d / "m.txt", "--json", d / "r.json")
+run("synth", "traj-pair", "--seed", 3, "--out-dir", d)
+gt = json.loads((d / "gt.json").read_text(encoding="utf-8"))
+run("join", d / "trajA.txt", d / "trajB.txt", d / "matches.txt",
+    "--depths-a", d / "trajA.depths", "--depths-b", d / "trajB.depths",
+    "--frame-a", gt["frame_a"], "--frame-b", gt["frame_b"],
+    "--out", d / "merged.txt", "--sim3-out", d / "s.json")
+spaced = (d / "trajA.txt").read_text(encoding="utf-8").replace(" ", "\\u2003")
+(d / "spaced.txt").write_text(spaced, encoding="utf-8")
+run("ate", d / "merged.txt", d / "spaced.txt")
+run("basin", "--mode", "sed_only", "--grid", "0:20:20", "--seeds", 1, "--out", d / "b.csv")
+"""
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sedslam.__file__)),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-c", _UTF8_SESSION, str(tmp_path)],
+                         capture_output=True, text=True, timeout=30, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 class TestNoHang:
@@ -600,9 +638,8 @@ class TestParserReuse:
 
 
 # One case per place a reader refuses a line, mutated from `synth two-view --seed 1`
-# (two_view.txt) and `synth traj-pair --seed 3` (trajA.txt, and trajA.depths
-# rewritten as text): the file, its line from 1, that line's new text, and the
-# message `main` prints. Each exits 1.
+# (two_view.txt) and `synth traj-pair --seed 3` (trajA.txt): the file, its line
+# from 1, that line's new text, and the message `main` prints. Each exits 1.
 REFUSALS = {
     "intrinsics-too-few": ("two_view.txt", 2, "intrinsics 0 256 256 256 256 512",
                            "line 2: intrinsics needs 7 values"),
@@ -636,14 +673,6 @@ REFUSALS = {
                  "line 4: non-finite value"),
     "traj-quaternion": ("trajA.txt", 4, "100.2 -4.9 0.2 -0.8 0 0 0 3",
                         "line 4: quaternion norm 3.0 is not 1"),
-    "sidecar-field-count": ("trajA.depths", 5, "100.000000 3", "line 5: expected 3 fields"),
-    "sidecar-unparsable": ("trajA.depths", 5, "100.000000 three 4.7",
-                           "line 5: invalid literal for int() with base 10: 'three'"),
-    "sidecar-depth": ("trajA.depths", 5, "100.000000 3 -1",
-                      "line 5: depth must be finite and positive"),
-    "sidecar-stamp": ("trajA.depths", 5, "inf 3 4.7", "line 5: timestamp must be finite"),
-    "sidecar-duplicate-id": ("trajA.depths", 5, "100.000000 2 4.7",
-                             "line 5: duplicate anchor id 2"),
     # Undecodable text is refused by the codec, which names a byte and no line.
     "not-utf8": ("trajA.txt", 3, b"100.1 -4.98 \xff 0.24",
                  "'utf-8' codec can't decode byte 0xff in position 143: invalid start byte"),
@@ -655,7 +684,6 @@ def refusal_sources(tmp_path_factory):
     src = tmp_path_factory.mktemp("refusal-sources")
     assert main(["synth", "two-view", "--seed", "1", "--out", str(src / "two_view.txt")]) == 0
     assert main(["synth", "traj-pair", "--seed", "3", "--out-dir", str(src)]) == 0
-    sidecar_as_text(src / "trajA.depths")
     return src
 
 
@@ -665,12 +693,8 @@ def test_refused_line_prints_its_message_and_exits_1(case, refusal_sources, tmp_
     lines = (refusal_sources / name).read_bytes().splitlines(keepends=True)
     lines[lineno - 1] = (text if isinstance(text, bytes) else text.encode()) + b"\n"
     (tmp_path / name).write_bytes(b"".join(lines))
-    path = {n: str(refusal_sources / n) for n in ("trajA.txt", "trajA.depths", "trajB.txt",
-                                                  "trajB.depths", "matches.txt")}
-    path[name] = str(tmp_path / name)
-    argv = {"two_view.txt": ["two-view", path[name]],
-            "trajA.txt": ["ate", path["trajA.txt"], path["trajB.txt"]],
-            "trajA.depths": _join_argv(path, tmp_path)}[name]
+    argv = {"two_view.txt": ["two-view", str(tmp_path / name)],
+            "trajA.txt": ["ate", str(tmp_path / name), str(refusal_sources / "trajB.txt")]}[name]
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -706,10 +730,10 @@ def _with(a, k, value):
     return a
 
 
-# One case per refusal of a malformed sidecar archive, built from the arrays of
+# One case per refusal of a malformed sidecar, built from the arrays of
 # `synth traj-pair --seed 3`'s trajA.depths (8 keyframes from 100.0, 0.1 s apart,
-# 96 depths each): the archive's bytes from (timestamps, counts, depths), and
-# the message `main` prints. Each exits 1.
+# 96 depths each): the file's bytes from (timestamps, counts, depths), and the
+# message `main` prints. Each exits 1 and writes no output file.
 ARCHIVE_REFUSALS = {
     "truncated": (lambda t, c, d: _archive(t, c, d)[:1000],
                   "depth sidecar archive is unreadable: BadZipFile('File is not a zip file')"),
@@ -740,6 +764,10 @@ ARCHIVE_REFUSALS = {
               "depth -1.0 at timestamp 100.1 must be finite and positive"),
     "stamps-alike": (lambda t, c, d: _archive(_with(t, 1, t[0] + 1e-7), c, d),
                      "timestamps must be strictly increasing at 6 decimals"),
+    # The text sidecar that earlier versions wrote.
+    "text": (lambda t, c, d: b"100.000000 0 4.7\n",
+             "depth sidecar is not an .npz archive of timestamps, counts and depths; "
+             "text sidecars are no longer read"),
 }
 
 
@@ -747,13 +775,12 @@ ARCHIVE_REFUSALS = {
 def test_malformed_sidecar_archive_prints_its_message_and_exits_1(case, refusal_sources,
                                                                    tmp_path, capsys):
     build, message = ARCHIVE_REFUSALS[case]
-    source = read_depth_sidecar(refusal_sources / "trajA.depths")
-    counts = np.array([len(d) for d in source.values()], dtype=np.int64)
     (tmp_path / "trajA.depths").write_bytes(
-        build(np.array(list(source)), counts, np.concatenate(list(source.values()))))
+        build(*sidecar_arrays(refusal_sources / "trajA.depths")))
     path = {n: str(refusal_sources / n) for n in ("trajA.txt", "trajB.txt", "trajB.depths",
                                                   "matches.txt")}
     path["trajA.depths"] = str(tmp_path / "trajA.depths")
     capsys.readouterr()
     assert main(_join_argv(path, tmp_path)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "merged.txt").exists() and not (tmp_path / "sim3.json").exists()
