@@ -280,6 +280,66 @@ class TestTrajectoryFile:
         assert "3.500000" in str(exc.value)
 
 
+class TestDepthSidecar:
+    def test_non_positive_depth(self, tmp_path):
+        path = tmp_path / "d.depths"
+        path.write_bytes(_archive_bytes(timestamps=np.array([0.0]),
+                                        counts=np.array([1], dtype=np.int64),
+                                        depths=np.array([-1.0])))
+        with pytest.raises(TrajectoryFileError) as exc:
+            read_depth_sidecar(path)
+        assert str(exc.value) == "depth -1.0 at timestamp 0.0 must be finite and positive"
+
+    # Keys follow the archive's timestamps; a timestamp with no depths has none.
+    def test_keys_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "d.depths"
+        path.write_bytes(_archive_bytes(timestamps=np.array([1.0, 1.5, 2.0]),
+                                        counts=np.array([1, 0, 2], dtype=np.int64),
+                                        depths=np.array([3.0, 5.0, 4.0])))
+        depths = read_depth_sidecar(path)
+        assert list(depths) == [1.0, 2.0]
+        assert depths[2.0].tolist() == [5.0, 4.0]
+        assert depths[1.0].tolist() == [3.0]
+
+
+# A sidecar archive of three empty arrays, as written for a trajectory whose
+# keyframes hold no depths, reads as no entries.
+def test_header_only_sidecar_reads_as_empty(tmp_path):
+    path = tmp_path / "d.depths"
+    path.write_bytes(_archive_bytes(timestamps=np.zeros(0), counts=np.zeros(0, dtype=np.int64),
+                                    depths=np.zeros(0)))
+    assert read_depth_sidecar(path) == {}
+    write_depth_sidecar(path, simple_trajectory(depths=False))
+    assert read_depth_sidecar(path) == {}
+
+
+# 25,000 depths, 8 per timestamp, with one defect in the keyframe that holds
+# depth 20,000: the message names the defective value and its timestamp.
+@pytest.mark.parametrize("kind", ["count", "depth", "dup", "stamp"])
+def test_defect_at_row_20000_of_a_long_sidecar(tmp_path, kind):
+    stamps = np.arange(3125) + 0.5
+    counts = np.full(3125, 8, dtype=np.int64)
+    depths = 1.25 + np.arange(25_000) % 7
+    if kind == "count":
+        counts[2499] = 7
+        message = ("depth counts must be 3125 non-negative integers summing to 25000, "
+                   "got 3125 summing to 24999, least 7")
+    elif kind == "depth":
+        depths[19_999] = 0.0
+        message = "depth 0.0 at timestamp 2499.5 must be finite and positive"
+    elif kind == "dup":
+        stamps[2499] = stamps[2498]
+        message = "timestamps must be strictly increasing at 6 decimals"
+    else:
+        stamps[2499] = np.inf
+        message = "timestamp inf must be finite"
+    path = tmp_path / "d.depths"
+    path.write_bytes(_archive_bytes(timestamps=stamps, counts=counts, depths=depths))
+    with pytest.raises(TrajectoryFileError) as exc:
+        read_depth_sidecar(path)
+    assert str(exc.value) == message
+
+
 # Trajectory values on binary grids print exactly, 180-degree rotations about
 # the axes have quaternions of 0 and 1, and the sidecar is binary, so the
 # columns read back bit for bit.
